@@ -18,6 +18,23 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 mkdir -p fuzz_repros
 build/src/fuzz/fjs_fuzz --smoke --repro-dir fuzz_repros 2>&1 | tee -a test_output.txt
 
+# Full-profile determinism gate: the thread count must not change a
+# single verdict byte. Runs every experiment but E9 (timing only) at
+# --jobs 1 and at --jobs $(nproc), then byte-diffs the two verdicts.json.
+rm -rf results/full-jobs1 results/full-jobsN
+build/src/experiments/fjs_experiments --skip e9 --jobs 1 \
+  --out results --run-id full-jobs1 --quiet
+build/src/experiments/fjs_experiments --skip e9 --jobs "$(nproc)" \
+  --out results --run-id full-jobsN --quiet
+if cmp results/full-jobs1/verdicts.json results/full-jobsN/verdicts.json; then
+  echo "full-profile determinism OK: --jobs 1 and --jobs $(nproc) verdicts byte-identical" \
+    | tee -a test_output.txt
+else
+  echo "ERROR: full-profile verdicts differ between --jobs 1 and --jobs $(nproc)" \
+    | tee -a test_output.txt
+  exit 1
+fi
+
 # Static-analysis gate: clang-tidy over src/ against the checked-in
 # suppression baseline (.clang-tidy + scripts/clang_tidy_baseline.txt).
 # Skips with a warning where clang-tidy is not installed.
@@ -29,10 +46,11 @@ scripts/run_clang_tidy.sh 2>&1 | tee -a test_output.txt
 # full suite.
 cmake --preset asan-ubsan
 cmake --build build-asan --target \
-  test_offline_exact test_offline_bounds test_adversary_miner \
-  test_differential test_support_simd fjs_fuzz
+  test_offline_exact test_offline_bounds test_offline_heuristic \
+  test_adversary_miner test_differential test_support_simd \
+  test_bugfix_regressions fjs_fuzz
 ctest --test-dir build-asan --output-on-failure \
-  -R 'test_offline_exact|test_offline_bounds|test_adversary_miner|test_differential|test_support_simd' \
+  -R 'test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_support_simd|test_bugfix_regressions' \
   2>&1 | tee -a test_output.txt
 # The same fuzz smoke under the sanitizers (undefined behavior in an
 # oracle or scheduler fails the run even when spans agree).

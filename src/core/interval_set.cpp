@@ -194,22 +194,36 @@ bool IntervalSet::intersects(const Interval& interval) const {
   return it != components_.end() && it->overlaps(interval);
 }
 
-Time IntervalSet::measure_within(const Interval& interval) const {
+namespace {
+
+Time covered_measure(std::span<const Interval> components,
+                     const Interval& interval) {
   if (interval.empty()) {
     return Time::zero();
   }
   Time total = Time::zero();
   auto it = std::upper_bound(
-      components_.begin(), components_.end(), interval.lo,
+      components.begin(), components.end(), interval.lo,
       [](Time value, const Interval& c) { return value < c.hi; });
-  for (; it != components_.end() && it->lo < interval.hi; ++it) {
+  for (; it != components.end() && it->lo < interval.hi; ++it) {
     total += it->intersect(interval).length();
   }
   return total;
 }
 
+}  // namespace
+
+Time IntervalSet::measure_within(const Interval& interval) const {
+  return covered_measure(components_, interval);
+}
+
 Time IntervalSet::uncovered_measure(const Interval& interval) const {
-  return interval.length() - measure_within(interval);
+  return interval.length() - covered_measure(components_, interval);
+}
+
+Time IntervalSet::uncovered_measure(std::span<const Interval> components,
+                                    const Interval& interval) {
+  return interval.length() - covered_measure(components, interval);
 }
 
 Time IntervalSet::lower() const {

@@ -2,6 +2,7 @@
 // on: span(J) = measure(∪ active intervals).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,11 @@ class IntervalSet {
   /// Measure of `interval` NOT covered by this set — the marginal span a
   /// new active interval would add. Core of the offline optimizer.
   Time uncovered_measure(const Interval& interval) const;
+
+  /// The same over any sorted, disjoint, non-abutting component list,
+  /// e.g. the slice of components() near `interval`.
+  static Time uncovered_measure(std::span<const Interval> components,
+                                const Interval& interval);
 
   /// Leftmost point of the set. Requires non-empty.
   Time lower() const;

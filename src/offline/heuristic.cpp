@@ -1,47 +1,87 @@
 #include "offline/heuristic.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/interval_set.h"
-#include "support/assert.h"
 #include "support/rng.h"
 
 namespace fjs {
 namespace {
 
+using Components = std::span<const Interval>;
+
+/// Scratch for one heuristic_optimal call, reused across every order and
+/// pass so the search allocates only while its buffers grow.
+struct Workspace {
+  /// Every job's active interval, by id, and the same list sorted by left
+  /// endpoint; both track `starts` through every move.
+  std::vector<Interval> intervals;
+  std::vector<Interval> sorted;
+  /// Union of everyone else's intervals near one job's window.
+  std::vector<Interval> others;
+  /// The greedy's union of already-placed intervals.
+  IntervalSet placed;
+  std::vector<Time> candidates;
+  Time max_length;
+};
+
 Time clamp_time(Time value, Time lo, Time hi) {
   return std::max(lo, std::min(value, hi));
 }
 
-/// Candidate starts for job j against a fixed set of other intervals:
-/// window endpoints plus alignments of either end of j's interval with any
-/// endpoint of the fixed union. The marginal-span function is piecewise
-/// linear with breakpoints exactly here.
-void collect_candidates(const Job& j, const IntervalSet& others,
+/// j's feasible window [a, d + p]: every start in [a, d] keeps j's active
+/// interval inside it.
+Interval window_of(const Job& j) {
+  return Interval(j.arrival, j.latest_completion());
+}
+
+/// The slice of a sorted, disjoint component list that touches `window`.
+Components touching(const std::vector<Interval>& components,
+                    const Interval& window) {
+  const auto first = std::lower_bound(
+      components.begin(), components.end(), window.lo,
+      [](const Interval& c, Time lo) { return c.hi < lo; });
+  auto last = first;
+  while (last != components.end() && last->lo <= window.hi) {
+    ++last;
+  }
+  return {first, last};
+}
+
+/// Candidate starts for job j against the fixed components touching its
+/// window: window endpoints plus alignments of either end of j's interval
+/// with any component endpoint. The marginal-span function is piecewise
+/// linear with breakpoints exactly here. A component off the window would
+/// only add candidates that clamp to a(j) or d(j), so the slice yields the
+/// same set as the whole union.
+void collect_candidates(const Job& j, Components near,
                         std::vector<Time>& out) {
   out.clear();
   out.push_back(j.arrival);
   out.push_back(j.deadline);
-  for (const Interval& c : others.components()) {
+  for (const Interval& c : near) {
     for (const Time e : {c.lo, c.hi}) {
       out.push_back(clamp_time(e, j.arrival, j.deadline));
-      out.push_back(clamp_time(e - j.length, j.arrival, j.deadline));
+      out.push_back(
+          clamp_time(e.saturating_sub(j.length), j.arrival, j.deadline));
     }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-/// Best start for j given others; returns (start, marginal uncovered
-/// measure).
-std::pair<Time, Time> best_placement(const Job& j, const IntervalSet& others,
+/// Best start for j given the components touching its window; returns
+/// (start, marginal uncovered measure), the first minimum in start order.
+std::pair<Time, Time> best_placement(const Job& j, Components near,
                                      std::vector<Time>& scratch) {
-  collect_candidates(j, others, scratch);
+  collect_candidates(j, near, scratch);
   Time best_start = j.deadline;
   Time best_marginal = Time::max();
   for (const Time s : scratch) {
-    const Time marginal = others.uncovered_measure(j.active_interval(s));
+    const Time marginal =
+        IntervalSet::uncovered_measure(near, j.active_interval(s));
     if (marginal < best_marginal) {
       best_marginal = marginal;
       best_start = s;
@@ -52,73 +92,79 @@ std::pair<Time, Time> best_placement(const Job& j, const IntervalSet& others,
 
 /// Greedy construction: place jobs in `order`, each at its best alignment
 /// against the union of already-placed intervals.
-Schedule greedy(const Instance& inst, const std::vector<JobId>& order) {
-  Schedule sched(inst.size());
-  IntervalSet placed;
-  std::vector<Time> scratch;
+void greedy(const Instance& inst, const std::vector<JobId>& order,
+            Workspace& ws, std::vector<Time>& starts) {
+  ws.placed.clear();
   for (const JobId id : order) {
-    const Job& j = inst.job(id);
-    const auto [start, marginal] = best_placement(j, placed, scratch);
-    sched.set_start(id, start);
-    placed.add(j.active_interval(start));
+    const Job j = inst.job(id);
+    const Components near = touching(ws.placed.components(), window_of(j));
+    starts[id] = best_placement(j, near, ws.candidates).first;
+    ws.placed.add(j.active_interval(starts[id]));
   }
-  return sched;
+}
+
+/// Loads ws.intervals and ws.sorted from `starts`.
+void load_intervals(const Instance& inst, const std::vector<Time>& starts,
+                    Workspace& ws) {
+  ws.intervals.resize(inst.size());
+  for (JobId id = 0; id < inst.size(); ++id) {
+    ws.intervals[id] = inst.job(id).active_interval(starts[id]);
+  }
+  ws.sorted.assign(ws.intervals.begin(), ws.intervals.end());
+  std::sort(ws.sorted.begin(), ws.sorted.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+}
+
+/// Merges into ws.others the union of the intervals that touch `window`,
+/// minus one copy of job `id`'s own. Such an interval ends at or after
+/// window.lo, so it starts at or after window.lo - max p: binary-search
+/// there, then scan the lo-sorted list to window.hi. Inside the window
+/// this union equals the whole "everyone else" union, and outside it its
+/// component endpoints clamp to the same candidates.
+void merge_others_near(JobId id, const Interval& window, Workspace& ws) {
+  ws.others.clear();
+  const Time scan_from = window.lo.saturating_sub(ws.max_length);
+  auto it = std::lower_bound(
+      ws.sorted.begin(), ws.sorted.end(), scan_from,
+      [](const Interval& iv, Time lo) { return iv.lo < lo; });
+  bool skipped = false;
+  for (; it != ws.sorted.end() && it->lo <= window.hi; ++it) {
+    const Interval& iv = *it;
+    if (iv.hi < window.lo) {
+      continue;
+    }
+    if (!skipped && iv == ws.intervals[id]) {
+      skipped = true;  // drop exactly one instance of this job's interval
+      continue;
+    }
+    if (!ws.others.empty() && iv.lo <= ws.others.back().hi) {
+      ws.others.back().hi = std::max(ws.others.back().hi, iv.hi);
+    } else {
+      ws.others.push_back(iv);
+    }
+  }
 }
 
 /// One full coordinate-descent pass; returns true if any job moved.
-bool improve_pass(const Instance& inst, std::vector<Time>& starts,
-                  const std::vector<JobId>& order) {
+bool improve_pass(const Instance& inst, const std::vector<JobId>& order,
+                  Workspace& ws, std::vector<Time>& starts) {
   bool moved = false;
-  std::vector<Time> scratch;
-  // Every job's active interval plus the same list sorted by left
-  // endpoint, maintained across moves. "Everyone else's union" is then a
-  // linear skip-copy of the sorted list, and the bulk IntervalSet
-  // constructor sees pre-sorted input, so it never pays a sort — where
-  // rebuilding via n× add() per candidate job made this pass O(n² log n).
-  std::vector<Interval> intervals(inst.size());
-  std::vector<Interval> sorted;
-  sorted.reserve(inst.size());
-  for (JobId id = 0; id < inst.size(); ++id) {
-    intervals[id] = inst.job(id).active_interval(starts[id]);
-    sorted.push_back(intervals[id]);
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> others_intervals;
   for (const JobId id : order) {
-    const Job& j = inst.job(id);
-    others_intervals.clear();
-    others_intervals.reserve(sorted.size());
-    bool skipped = false;
-    for (const Interval& iv : sorted) {
-      if (!skipped && iv == intervals[id]) {
-        skipped = true;  // drop exactly one instance of this job's interval
-        continue;
-      }
-      others_intervals.push_back(iv);
-    }
-    const IntervalSet others(std::move(others_intervals));
+    const Job j = inst.job(id);
+    merge_others_near(id, window_of(j), ws);
     const Time current_marginal =
-        others.uncovered_measure(j.active_interval(starts[id]));
-    const auto [best_start, best_marginal] = best_placement(j, others, scratch);
+        IntervalSet::uncovered_measure(ws.others, ws.intervals[id]);
+    const auto [best_start, best_marginal] =
+        best_placement(j, ws.others, ws.candidates);
     if (best_marginal < current_marginal) {
-      const Interval old_iv = intervals[id];
+      const Interval old_iv = ws.intervals[id];
       starts[id] = best_start;
-      intervals[id] = j.active_interval(best_start);
-      IntervalSet::replace_in_sorted(sorted, old_iv, intervals[id]);
+      ws.intervals[id] = j.active_interval(best_start);
+      IntervalSet::replace_in_sorted(ws.sorted, old_iv, ws.intervals[id]);
       moved = true;
     }
   }
   return moved;
-}
-
-Time span_of(const Instance& inst, const std::vector<Time>& starts) {
-  std::vector<Interval> intervals;
-  intervals.reserve(inst.size());
-  for (JobId id = 0; id < inst.size(); ++id) {
-    intervals.push_back(inst.job(id).active_interval(starts[id]));
-  }
-  return IntervalSet(std::move(intervals)).measure();
 }
 
 }  // namespace
@@ -148,23 +194,25 @@ HeuristicResult heuristic_optimal(const Instance& instance,
     orders.push_back(std::move(shuffled));
   }
 
+  Workspace ws;
+  ws.max_length = instance.max_length();
   Time best_span = Time::max();
   std::vector<Time> best_starts;
+  std::vector<Time> starts(instance.size());
   std::vector<JobId> pass_order = instance.ids_by_deadline();
   for (const auto& order : orders) {
-    Schedule seed_sched = greedy(instance, order);
-    std::vector<Time> starts(instance.size());
-    for (JobId id = 0; id < instance.size(); ++id) {
-      starts[id] = seed_sched.start(id);
-    }
+    greedy(instance, order, ws, starts);
+    load_intervals(instance, starts, ws);
     for (int pass = 0; pass < options.max_passes; ++pass) {
       rng.shuffle(pass_order);
-      if (!improve_pass(instance, starts, pass_order)) {
+      if (!improve_pass(instance, pass_order, ws, starts)) {
         break;
       }
     }
-    const Time span = span_of(instance, starts);
-    if (span < best_span) {
+    const Time span = IntervalSet::sorted_union_measure(ws.sorted);
+    // The first order always lands: a span of exactly Time::max() (one
+    // job covering [0, Time::max())) must not lose to the sentinel.
+    if (best_starts.empty() || span < best_span) {
       best_span = span;
       best_starts = starts;
     }

@@ -1,6 +1,7 @@
 // Regression tests for the edge-case bugfix sweep: CsvWriter fail-loud
 // semantics, RandomizedScheduler tied timer/deadline events, the Doubler
-// window-close overflow, saturating Time helpers, the conformance-suite
+// window-close overflow, saturating Time helpers, the offline heuristic's
+// near-Time::min() window edge and Time::max() spans, the conformance-suite
 // coverage additions, and the strengthened same-tick trace rules.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "fuzz/generator.h"
 #include "fuzz/oracles.h"
 #include "helpers.h"
+#include "offline/heuristic.h"
 #include "offline/lower_bound.h"
 #include "schedulers/doubler.h"
 #include "schedulers/randomized.h"
@@ -220,6 +222,49 @@ TEST(StatsRegression, FuzzHugeLengthSeedsExerciseTheSaturatingPath) {
   }
   // The generator's huge-length variant must actually reach this path.
   EXPECT_GT(overflowing, 5u);
+}
+
+// Arrivals are not required to be non-negative. The heuristic's window
+// scan steps left of a(J) by the longest length, and its candidates step
+// left of each nearby endpoint by p(J); both must saturate rather than
+// wrap when a job sits next to the most negative representable Time (run
+// under UBSan, a raw subtraction here is a signed-overflow report).
+TEST(HeuristicRegression, WindowEdgeNearTimeMinSaturates) {
+  const Time long_length = Time::from_units(1000.0);
+  const Time near_min = Time::min() + Time(1);
+  const Instance inst(std::vector<Job>{
+      // A short job that fits inside the long one's interval.
+      {.arrival = near_min, .deadline = near_min + Time(2), .length = Time(1)},
+      // A rigid long job starting one tick later.
+      {.arrival = near_min + Time(1),
+       .deadline = near_min + Time(1),
+       .length = long_length},
+      // A long job far to the right.
+      {.arrival = Time::zero(),
+       .deadline = Time::from_units(5.0),
+       .length = long_length},
+  });
+  HeuristicResult result;
+  ASSERT_NO_THROW(result = heuristic_optimal(inst));
+  EXPECT_EQ(result.span, long_length + long_length);
+  EXPECT_NO_THROW(result.schedule.validate(inst));
+  EXPECT_GE(result.schedule.start(0), near_min + Time(1));
+}
+
+// A schedule whose span is exactly Time::max() is valid (fuzz instances
+// reach it). The heuristic used to keep only spans strictly below its
+// Time::max() sentinel, found none, and failed in Schedule::validate.
+TEST(HeuristicRegression, SpanOfExactlyTimeMaxKeepsASchedule) {
+  const Instance inst(std::vector<Job>{
+      {.arrival = Time::zero(), .deadline = Time::zero(),
+       .length = Time::max()},
+      {.arrival = Time::zero(), .deadline = Time::from_units(3.0),
+       .length = Time::from_units(1.0)},
+  });
+  HeuristicResult result;
+  ASSERT_NO_THROW(result = heuristic_optimal(inst));
+  EXPECT_EQ(result.span, Time::max());
+  EXPECT_NO_THROW(result.schedule.validate(inst));
 }
 
 TEST(ConformanceRegression, EveryRegisteredSchedulerPassesExtendedSuite) {
