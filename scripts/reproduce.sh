@@ -19,18 +19,34 @@ mkdir -p fuzz_repros
 build/src/fuzz/fjs_fuzz --smoke --repro-dir fuzz_repros 2>&1 | tee -a test_output.txt
 
 # Full-profile determinism gate: the thread count must not change a
-# single verdict byte. Runs every experiment but E9 (timing only) at
-# --jobs 1 and at --jobs $(nproc), then byte-diffs the two verdicts.json.
+# single output byte. Runs every experiment but E9 (timing only) at
+# --jobs 1 and at --jobs $(nproc), then byte-diffs verdicts.json and every
+# CSV of the two runs (values that legitimately vary with the thread
+# count belong in manifest.json, which is not compared).
 rm -rf results/full-jobs1 results/full-jobsN
 build/src/experiments/fjs_experiments --skip e9 --jobs 1 \
   --out results --run-id full-jobs1 --quiet
 build/src/experiments/fjs_experiments --skip e9 --jobs "$(nproc)" \
   --out results --run-id full-jobsN --quiet
-if cmp results/full-jobs1/verdicts.json results/full-jobsN/verdicts.json; then
-  echo "full-profile determinism OK: --jobs 1 and --jobs $(nproc) verdicts byte-identical" \
+list_outputs() {
+  (cd "$1" && { echo verdicts.json; find . -name '*.csv' | sort; })
+}
+determinism_ok=1
+if ! diff <(list_outputs results/full-jobs1) <(list_outputs results/full-jobsN); then
+  echo "ERROR: full-profile runs wrote different sets of files" \
+    | tee -a test_output.txt
+  determinism_ok=0
+fi
+while read -r file; do
+  if ! cmp "results/full-jobs1/$file" "results/full-jobsN/$file"; then
+    determinism_ok=0
+  fi
+done < <(list_outputs results/full-jobs1)
+if [ "$determinism_ok" = 1 ]; then
+  echo "full-profile determinism OK: --jobs 1 and --jobs $(nproc) verdicts and CSVs byte-identical" \
     | tee -a test_output.txt
 else
-  echo "ERROR: full-profile verdicts differ between --jobs 1 and --jobs $(nproc)" \
+  echo "ERROR: full-profile outputs differ between --jobs 1 and --jobs $(nproc)" \
     | tee -a test_output.txt
   exit 1
 fi

@@ -637,10 +637,6 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
         exact_options.seed_with_heuristic = false;
         exact_options.span_only = true;
         exact_options.seed_span = span;
-        // At mining sizes (hundreds of nodes per search) the transposition
-        // cache's per-node key/hash/insert cost exceeds what its hits save;
-        // disabling it speeds certification ~2x and cannot change any value.
-        exact_options.max_cache_entries = 0;
         if (threshold > 0.0) {
           // Decision floor: the candidate beats the incumbent iff
           // OPT < span/threshold, so the solver may stop at the floor

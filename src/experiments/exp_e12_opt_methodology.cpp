@@ -64,7 +64,6 @@ class E12Experiment final : public Experiment {
       Time annealed;
       Time lb;
       std::size_t nodes;
-      std::size_t cache_hits;
     };
     std::vector<Row> rows(cases.size());
     parallel_for(ctx.worker_pool(), cases.size(), [&](std::size_t i) {
@@ -74,15 +73,13 @@ class E12Experiment final : public Experiment {
                     .heuristic = heuristic_span(inst),
                     .annealed = anneal_schedule(inst).span,
                     .lb = best_lower_bound(inst),
-                    .nodes = exact.nodes_explored,
-                    .cache_hits = exact.cache_hits};
+                    .nodes = exact.nodes_explored};
     });
 
     Summary heuristic_gap;
     Summary anneal_gap;
     Summary lb_gap;
     Summary nodes;
-    Summary cache_hits;
     std::size_t heuristic_exact_hits = 0;
     std::size_t anneal_exact_hits = 0;
     for (const Row& row : rows) {
@@ -90,7 +87,6 @@ class E12Experiment final : public Experiment {
       anneal_gap.add(time_ratio(row.annealed, row.opt));
       lb_gap.add(time_ratio(row.opt, row.lb));
       nodes.add(static_cast<double>(row.nodes));
-      cache_hits.add(static_cast<double>(row.cache_hits));
       heuristic_exact_hits += row.heuristic == row.opt ? 1u : 0u;
       anneal_exact_hits += row.annealed == row.opt ? 1u : 0u;
     }
@@ -125,10 +121,7 @@ class E12Experiment final : public Experiment {
                "e12_methodology");
 
     ctx.out() << "exact solver nodes: mean " << format_double(nodes.mean(), 1)
-              << ", max " << format_double(nodes.max(), 0)
-              << " (transposition hits: mean "
-              << format_double(cache_hits.mean(), 1) << ", max "
-              << format_double(cache_hits.max(), 0) << ")\n"
+              << ", max " << format_double(nodes.max(), 0) << "\n"
               << "Reading: the local search is near-exact on small"
                  " instances, so E5-E8 ratio brackets are tight;\nthe LB gap"
                  " shows how conservative upper ratio estimates are.\n";

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/table.h"
@@ -62,6 +63,11 @@ struct ExperimentResult {
   /// Files the experiment wrote itself into ExperimentContext::out_dir
   /// (e.g. E9's google-benchmark JSON), relative to that directory.
   std::vector<std::string> artifacts;
+  /// Named values that may change with --jobs or timing (e.g. hit counts
+  /// of per-worker caches). The runner writes them to the manifest next
+  /// to wall_ms, never to a CSV or verdicts.json, whose bytes must not
+  /// depend on --jobs.
+  std::vector<std::pair<std::string, double>> diagnostics;
 };
 
 /// Everything the runner hands an experiment for one execution.

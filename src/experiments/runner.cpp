@@ -202,6 +202,7 @@ RunReport run_experiments(const std::vector<const Experiment*>& selection,
             record.artifacts.push_back(record.name + "/" + artifact);
           }
           record.verdicts = result.verdicts;
+          record.diagnostics = result.diagnostics;
         } catch (const std::exception& e) {
           record.error = e.what();
         }
@@ -323,6 +324,11 @@ JsonValue manifest_json(const RunReport& report) {
     entry.set("seed",
               JsonValue::number(static_cast<double>(record.seed)));
     entry.set("wall_ms", JsonValue::number(record.wall_ms));
+    JsonValue diagnostics = JsonValue::object();
+    for (const auto& [key, value] : record.diagnostics) {
+      diagnostics.set(key, JsonValue::number(value));
+    }
+    entry.set("diagnostics", diagnostics);
     entry.set("csv_files", string_array(record.csv_files));
     entry.set("artifacts", string_array(record.artifacts));
     entry.set("verdicts", JsonValue::number(

@@ -66,6 +66,8 @@ struct ExperimentRecord {
   std::vector<Verdict> verdicts;
   std::vector<std::string> csv_files;  ///< relative to the run directory
   std::vector<std::string> artifacts;  ///< relative to the run directory
+  /// ExperimentResult::diagnostics; manifest only.
+  std::vector<std::pair<std::string, double>> diagnostics;
   std::string error;                   ///< exception text; empty = ran clean
 
   bool passed() const;

@@ -5,11 +5,11 @@
 //    over (job, critical start) pairs — job choice included, so the
 //    anchor-first placement orders the completeness proof needs are
 //    reachable.
-//  * A transposition cache keyed on the node state collapses the
-//    permutation redundancy job-choice branching creates: the minimal
-//    completion span is a function of the state alone, not of the path.
-//    Entries are fail-soft: exact values short-circuit whole subtrees,
-//    lower bounds prune re-visits under a tighter incumbent.
+//  * Job choice reaches the same placements in many orders. General mode
+//    cuts those repeats with sleep sets (see solve()); the integral fast
+//    path branches one fixed job per depth and has none to cut. There is
+//    no transposition table: a cache keyed on the node state cost more per
+//    node than it saved on the fast path (docs/PERF.md).
 //  * The admissible bound merges the placed components with the remaining
 //    jobs' mandatory regions through IntervalSet::sorted_union_measure on
 //    depth-indexed scratch buffers — no IntervalSet materialization per
@@ -22,7 +22,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <span>
 #include <unordered_map>
@@ -161,29 +160,6 @@ struct Shared {
   }
 };
 
-struct StateKey {
-  Mask mask = 0;
-  std::vector<std::int64_t> comps;  // flattened (lo, hi) ticks
-
-  bool operator==(const StateKey&) const = default;
-};
-
-struct StateKeyHash {
-  std::size_t operator()(const StateKey& key) const {
-    std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ key.mask;
-    for (const std::int64_t v : key.comps) {
-      h ^= static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL + (h << 6) +
-           (h >> 2);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct CacheEntry {
-  std::int64_t value;
-  bool exact;  // true: value == optimal completion; false: value <= it
-};
-
 struct Move {
   JobId job;
   Time start;
@@ -195,8 +171,8 @@ struct Outcome {
   bool exact;
 };
 
-/// One worker's search: owns its transposition cache and scratch buffers;
-/// shares the incumbent / node budget through Shared. Reusable: init()
+/// One worker's search: owns its memo and scratch buffers; shares the
+/// incumbent / node budget through Shared. Reusable: init()
 /// rebinds to a new instance while keeping every scratch buffer's capacity,
 /// so hot loops (the miner certifies thousands of candidates per mine) pay
 /// no per-call allocation churn — the serial driver keeps one thread_local
@@ -214,11 +190,8 @@ class Search {
     serial_nodes_ = 0;
     serial_aborted_ = false;
     serial_incumbent_ = shared.incumbent.load(std::memory_order_relaxed);
-    local_nodes_ = 0;
-    cache_hits_ = 0;
     reconstructing_ = false;
     best_sched_span_ = Time::max();
-    cache_.clear();
     mandatory_.clear();
     grid_ = 0;
     const std::size_t n = inst.size();
@@ -237,6 +210,9 @@ class Search {
       chain_memo_.clear();
     }
     lower_twins_.assign(n, 0);
+    if (asleep_.size() < n) {
+      asleep_.resize(n);
+    }
     const std::span<const Time> arrivals = inst.arrivals();
     const std::span<const Time> deadlines = inst.deadlines();
     const std::span<const Time> lengths = inst.lengths();
@@ -325,7 +301,6 @@ class Search {
       la_scratch_.resize(n + 2);
       la_unc_scratch_.resize(n + 2);
       grid_key_scratch_.resize(n + 2);
-      keys_.resize(n + 2);
     }
     path_.resize(n);
     best_starts_.resize(n);
@@ -371,27 +346,6 @@ class Search {
     if (!reconstructing_) {
       eff = std::min(eff, incumbent());
     }
-    // The cache only pays for itself once a search is big enough to revisit
-    // states; below the activation threshold the per-node key/hash/insert
-    // cost outweighs any possible hit, so easy instances skip it entirely.
-    const bool cacheable = opts_->max_cache_entries > 0 &&
-                           std::popcount(mask) >= 2 &&
-                           ++local_nodes_ > kCacheActivationNodes;
-    if (cacheable) {
-      StateKey& key = fill_key(mask, comps, depth);
-      const auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        if (it->second.exact) {
-          ++cache_hits_;
-          const Time value(it->second.value);
-          offer_incumbent(value);
-          return Outcome{value, true};
-        }
-        if (Time(it->second.value) >= eff) {
-          return Outcome{Time(it->second.value), false};
-        }
-      }
-    }
     // Admissible bound. In the integral fast path the branch job j* at this
     // node is fixed, so the union bound for `mask` decomposes as
     // measure(base ∪ mandatory(j*)) with base = comps ∪ mandatory(mask\j*)
@@ -429,9 +383,6 @@ class Search {
       lb = lower_bound(mask, comps, depth, eff);
     }
     if (lb >= eff) {
-      if (cacheable) {
-        store(fill_key(mask, comps, depth), lb, false);
-      }
       return Outcome{lb, false};
     }
     Time best = Time::max();
@@ -564,7 +515,19 @@ class Search {
           la_unc.push_back(p - (hi_cursor.at(s + p) - lo_cursor.at(s)));
         }
       }
+      // General mode branches over job choice, so the same placements are
+      // reached in every order. Sleep sets cut the repeats without a table:
+      // once a move's subtree is done, no later sibling's subtree places
+      // that job at that start again. Any completion doing so is also a
+      // completion of the finished subtree's state, whose optimum that
+      // subtree covers, and the first optimal terminal in DFS order is
+      // never cut — so values and witnesses are those of the full tree.
+      // (Grid-mode moves all place one job, so nothing sleeps there.)
+      const std::size_t sleep_base = asleep_log_.size();
       for (const Move& m : moves) {
+        if (asleep(m)) {
+          continue;
+        }
         const Time child_bound = std::min(eff, best);
         if (lookahead) {
           const Time quick = std::max(
@@ -586,12 +549,16 @@ class Search {
           best_exact = o.exact;
         }
         if (aborted()) {
+          wake(sleep_base);
           return Outcome{best, false};
         }
         if (best_exact && best <= lb) {
           break;  // optimality-gap cut: no child can beat the bound
         }
+        asleep_[m.job].push_back(m.start);
+        asleep_log_.push_back(m.job);
       }
+      wake(sleep_base);
     }
     if (pruned_min < best) {
       // Every recursed child came back above some pruned child's quick
@@ -600,15 +567,14 @@ class Search {
       best = pruned_min;
       best_exact = false;
     }
-    if (cacheable) {
-      store(fill_key(mask, comps, depth), best, best_exact);
-    }
     return Outcome{best, best_exact};
   }
 
-  /// Walks the cache (re-solving where entries are missing or inexact) to
-  /// extract starts achieving `target` from `state`. Returns false only if
-  /// the node budget ran out mid-walk.
+  /// Extracts starts achieving `target` from the state by walking the move
+  /// order and re-solving each child under `target + 1`: the fail-soft
+  /// search returns the child's exact optimum whenever it is <= target, so
+  /// the first child reporting exactly `target` lies on an optimal path.
+  /// Returns false only if the node budget ran out mid-walk.
   bool reconstruct(Mask mask, Components comps, Time target,
                    std::vector<Time>& starts) {
     reconstructing_ = true;
@@ -623,24 +589,12 @@ class Search {
         with_inserted(comps, view_.job(m.job).active_interval(m.start),
                       child);
         const Mask child_mask = mask & ~bit(m.job);
-        Outcome o{Time::zero(), false};
-        bool have = false;
-        if (opts_->max_cache_entries > 0 && std::popcount(child_mask) >= 2) {
-          const auto it = cache_.find(fill_key(child_mask, child, depth));
-          if (it != cache_.end() && it->second.exact) {
-            o = Outcome{Time(it->second.value), true};
-            have = true;
-          }
+        const Outcome o = solve(child_mask, child, target + Time(1), depth + 1);
+        if (aborted()) {
+          reconstructing_ = false;
+          return false;
         }
-        if (!have) {
-          o = solve(child_mask, child, target + Time(1), depth + 1);
-          if (aborted()) {
-            reconstructing_ = false;
-            return false;
-          }
-        }
-        const Time total = o.value;
-        if (o.exact && total == target) {
+        if (o.exact && o.value == target) {
           starts[m.job] = m.start;
           comps = child;
           mask = child_mask;
@@ -660,8 +614,6 @@ class Search {
 
   Time best_sched_span() const { return best_sched_span_; }
   const std::vector<Time>& best_starts() const { return best_starts_; }
-  std::size_t cache_hits() const { return cache_hits_; }
-  std::size_t cache_entries() const { return cache_.size(); }
 
   /// Root branching, shared with the parallel driver: moves on the empty
   /// union, deterministic order.
@@ -709,6 +661,19 @@ class Search {
     return false;
   }
 
+  bool asleep(const Move& m) const {
+    const std::vector<Time>& starts = asleep_[m.job];
+    return std::find(starts.begin(), starts.end(), m.start) != starts.end();
+  }
+
+  /// Drops the sleep-set entries pushed since `base`.
+  void wake(std::size_t base) {
+    while (asleep_log_.size() > base) {
+      asleep_[asleep_log_.back()].pop_back();
+      asleep_log_.pop_back();
+    }
+  }
+
   Time incumbent() const {
     return Time(serial_ ? serial_incumbent_
                         : shared_->incumbent.load(std::memory_order_relaxed));
@@ -720,37 +685,6 @@ class Search {
     } else {
       shared_->offer_incumbent(span);
     }
-  }
-
-  /// Builds the cache key in the depth's scratch slot (no allocation once
-  /// warm). The reference stays valid until the next fill at this depth;
-  /// store() moves it out.
-  StateKey& fill_key(Mask mask, const Components& comps, std::size_t depth) {
-    StateKey& key = keys_[depth];
-    key.mask = mask;
-    key.comps.clear();
-    key.comps.reserve(comps.size() * 2);
-    for (const Interval& c : comps) {
-      key.comps.push_back(c.lo.ticks());
-      key.comps.push_back(c.hi.ticks());
-    }
-    return key;
-  }
-
-  void store(StateKey& key, Time value, bool exact) {
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      if (exact) {
-        it->second = CacheEntry{value.ticks(), true};
-      } else if (!it->second.exact) {
-        it->second.value = std::max(it->second.value, value.ticks());
-      }
-      return;
-    }
-    if (cache_.size() >= opts_->max_cache_entries) {
-      return;  // full: stop inserting, keep serving lookups
-    }
-    cache_.emplace(std::move(key), CacheEntry{value.ticks(), exact});
   }
 
   /// Admissible bound: measure(placed ∪ mandatory(remaining)), merged on a
@@ -1218,8 +1152,6 @@ class Search {
   const ExactOptions* opts_ = nullptr;
   Shared* shared_ = nullptr;
   static constexpr std::int64_t kMaxGridStarts = 128;
-  static constexpr std::size_t kCacheActivationNodes = 256;
-  std::size_t local_nodes_ = 0;  // this worker's nodes, for cache activation
   // Serial-mode mirrors of Shared's atomics (see count_node).
   bool serial_ = false;
   bool serial_aborted_ = false;
@@ -1247,9 +1179,12 @@ class Search {
   std::vector<ChainInfo> chain_direct_;
   std::vector<std::uint32_t> chain_stamp_;
   std::unordered_map<Mask, ChainInfo> chain_memo_;
-  std::unordered_map<StateKey, CacheEntry, StateKeyHash> cache_;
-  std::size_t cache_hits_ = 0;
   bool reconstructing_ = false;
+  // General-mode sleep sets: per job, the starts whose subtrees an ancestor
+  // already finished as earlier siblings on the current path, plus the push
+  // order for unwinding. Empty whenever no solve() is on the stack.
+  std::vector<std::vector<Time>> asleep_;
+  std::vector<JobId> asleep_log_;
   // Depth-indexed scratch (the recursion touches one slot per level).
   std::vector<std::vector<Interval>> lb_scratch_;
   std::vector<std::vector<Time>> cand_scratch_;
@@ -1260,7 +1195,6 @@ class Search {
   // Per-depth packed (marginal << 7 | start-index) keys for the fused grid
   // expansion; per-depth because recursive children reuse the sweep state.
   std::vector<std::vector<std::uint64_t>> grid_key_scratch_;
-  std::vector<StateKey> keys_;
   // Current path's starts by job id; complete exactly at terminals.
   std::vector<Time> path_;
   Time best_sched_span_ = Time::max();
@@ -1278,8 +1212,7 @@ Schedule schedule_from_starts(const Instance& inst,
 }
 
 ExactResult finish(const Instance* owner, Time span, Schedule schedule,
-                   ExactStatus status, const Shared& shared,
-                   std::size_t cache_hits, std::size_t cache_entries) {
+                   ExactStatus status, const Shared& shared) {
   // span_only results carry an empty schedule; there is nothing to check.
   FJS_CHECK(schedule.size() == 0 ||
                 (owner != nullptr && schedule.span(*owner) == span),
@@ -1289,8 +1222,6 @@ ExactResult finish(const Instance* owner, Time span, Schedule schedule,
   result.schedule = std::move(schedule);
   result.nodes_explored = shared.nodes.load(std::memory_order_relaxed);
   result.status = status;
-  result.cache_hits = cache_hits;
-  result.cache_entries = cache_entries;
   return result;
 }
 
@@ -1329,12 +1260,10 @@ ExactResult run_search(InstanceView view, const Instance* owner,
                           ? Schedule(0)
                           : schedule_from_starts(*owner,
                                                  search.best_starts()),
-                      ExactStatus::kBudgetExceeded, shared,
-                      search.cache_hits(), search.cache_entries());
+                      ExactStatus::kBudgetExceeded, shared);
       }
       return finish(owner, seed_span, std::move(seed_schedule),
-                    ExactStatus::kBudgetExceeded, shared, search.cache_hits(),
-                    search.cache_entries());
+                    ExactStatus::kBudgetExceeded, shared);
     }
     if (!o.exact || o.value >= seed_span) {
       if (!o.exact && floor_active && o.value < seed_span) {
@@ -1343,55 +1272,39 @@ ExactResult run_search(InstanceView view, const Instance* owner,
         FJS_CHECK(o.value >= options.decision_floor,
                   "exact: floor search returned a bound below the floor");
         return finish(owner, seed_span, std::move(seed_schedule),
-                      ExactStatus::kFloorProven, shared, search.cache_hits(),
-                      search.cache_entries());
+                      ExactStatus::kFloorProven, shared);
       }
       // The search proved nothing beats the seed: the seed is optimal.
       return finish(owner, seed_span, std::move(seed_schedule),
-                    ExactStatus::kOptimal, shared, search.cache_hits(),
-                    search.cache_entries());
+                    ExactStatus::kOptimal, shared);
     }
     if (options.span_only) {
       return finish(owner, o.value, Schedule(0), ExactStatus::kOptimal,
-                    shared, search.cache_hits(), search.cache_entries());
+                    shared);
     }
-    if (search.best_sched_span() == o.value) {
-      return finish(owner, o.value,
-                    schedule_from_starts(*owner, search.best_starts()),
-                    ExactStatus::kOptimal, shared, search.cache_hits(),
-                    search.cache_entries());
-    }
-    std::vector<Time> starts(view.size());
-    const bool reconstructed =
-        search.reconstruct(full, Components{}, o.value, starts);
-    search.flush_serial_counters();
-    if (!reconstructed) {
-      return finish(owner, seed_span, std::move(seed_schedule),
-                    ExactStatus::kBudgetExceeded, shared, search.cache_hits(),
-                    search.cache_entries());
-    }
-    return finish(owner, o.value, schedule_from_starts(*owner, starts),
-                  ExactStatus::kOptimal, shared, search.cache_hits(),
-                  search.cache_entries());
+    // Every exact value the search returns comes from a terminal it
+    // visited, so the best terminal it recorded is a witness.
+    FJS_CHECK(search.best_sched_span() == o.value,
+              "exact: optimum without a recorded witness");
+    return finish(owner, o.value,
+                  schedule_from_starts(*owner, search.best_starts()),
+                  ExactStatus::kOptimal, shared);
   }
 
   // Parallel root split: the root's (job, start) branches are chunked
-  // contiguously across workers, each with its own cache, all sharing the
+  // contiguously across workers, each with its own Search, all sharing the
   // atomic incumbent. Reduction runs in branch order, so the optimal span
   // is independent of the thread count and of scheduling timing.
   std::vector<Move> roots;
-  {
-    Search probe;
-    probe.init(view, options, shared, /*serial=*/false);
-    probe.root_moves(full, roots);
-  }
+  Search probe;
+  probe.init(view, options, shared, /*serial=*/false);
+  probe.root_moves(full, roots);
   const std::size_t chunks = std::min(workers, roots.size());
-  std::vector<std::unique_ptr<Search>> searches(chunks);
   std::vector<Outcome> outcomes(roots.size(),
                                 Outcome{Time::max(), false});
   parallel_for(*options.pool, chunks, [&](std::size_t c) {
-    searches[c] = std::make_unique<Search>();
-    searches[c]->init(view, options, shared, /*serial=*/false);
+    Search search;
+    search.init(view, options, shared, /*serial=*/false);
     const std::size_t begin = c * roots.size() / chunks;
     const std::size_t end = (c + 1) * roots.size() / chunks;
     Components child;
@@ -1399,20 +1312,11 @@ ExactResult run_search(InstanceView view, const Instance* owner,
       const Move& m = roots[i];
       with_inserted(Components{}, view.job(m.job).active_interval(m.start),
                     child);
-      outcomes[i] = searches[c]->solve(
+      outcomes[i] = search.solve(
           full & ~bit(m.job), child,
           Time(shared.incumbent.load(std::memory_order_relaxed)), 1);
     }
   });
-
-  std::size_t cache_hits = 0;
-  std::size_t cache_entries = 0;
-  for (const auto& s : searches) {
-    if (s != nullptr) {
-      cache_hits += s->cache_hits();
-      cache_entries += s->cache_entries();
-    }
-  }
 
   Time best = seed_span;
   std::size_t best_idx = roots.size();
@@ -1428,41 +1332,31 @@ ExactResult run_search(InstanceView view, const Instance* owner,
     return finish(owner, seed_span, std::move(seed_schedule),
                   aborted ? ExactStatus::kBudgetExceeded
                           : ExactStatus::kOptimal,
-                  shared, cache_hits, cache_entries);
+                  shared);
   }
   if (options.span_only) {
     return finish(owner, best, Schedule(0),
                   aborted ? ExactStatus::kBudgetExceeded
                           : ExactStatus::kOptimal,
-                  shared, cache_hits, cache_entries);
+                  shared);
   }
-  // Reconstruct the winner's subtree inside its own cache.
-  const std::size_t winner_chunk = [&] {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * roots.size() / chunks;
-      const std::size_t end = (c + 1) * roots.size() / chunks;
-      if (best_idx >= begin && best_idx < end) {
-        return c;
-      }
-    }
-    FJS_UNREACHABLE("exact: winning root branch outside every chunk");
-  }();
-  Search& winner = *searches[winner_chunk];
+  // Reconstruct below the winning root branch. The walk re-solves every
+  // child under a fixed bound with the incumbent ignored, so its result
+  // does not depend on which Search ran the branch; the probe does it.
   std::vector<Time> starts(view.size());
   const Move& wm = roots[best_idx];
   starts[wm.job] = wm.start;
   Components child;
   with_inserted(Components{}, view.job(wm.job).active_interval(wm.start),
                 child);
-  if (!winner.reconstruct(full & ~bit(wm.job), std::move(child), best,
-                          starts)) {
+  if (!probe.reconstruct(full & ~bit(wm.job), std::move(child), best,
+                         starts)) {
     return finish(owner, seed_span, std::move(seed_schedule),
-                  ExactStatus::kBudgetExceeded, shared, cache_hits,
-                  cache_entries);
+                  ExactStatus::kBudgetExceeded, shared);
   }
   return finish(owner, best, schedule_from_starts(*owner, starts),
                 aborted ? ExactStatus::kBudgetExceeded : ExactStatus::kOptimal,
-                shared, cache_hits, cache_entries);
+                shared);
 }
 
 }  // namespace

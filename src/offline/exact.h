@@ -18,10 +18,15 @@
 // endpoints with a component endpoint of the union of previously placed
 // intervals. The search therefore branches over (remaining job, critical
 // start) pairs — the job-choice branching is what realizes the anchor-first
-// orders, and a transposition cache keyed on (remaining-job set, placed
-// union) collapses the resulting permutation redundancy. The argument
-// never uses integrality, so unlike the grid reference solver below the
-// branch-and-bound accepts arbitrary tick-valued instances.
+// orders. The argument never uses integrality, so unlike the grid
+// reference solver below the branch-and-bound accepts arbitrary
+// tick-valued instances.
+//
+// Job-choice branching reaches the same placements in many orders; sleep
+// sets (below) remove those repeats without a table. A transposition cache
+// keyed on (remaining-job set, placed union) was removed: on the integral
+// fast path, which every certification workload takes, it hit on about
+// 0.02% of nodes and cost more per node than it saved (docs/PERF.md).
 //
 // Pruning (speed only, never correctness):
 //  * admissible bound  measure(placed ∪ mandatory(remaining)) evaluated
@@ -30,6 +35,11 @@
 //    contained in the placed union) is committed there without branching;
 //  * twin symmetry: among identical remaining jobs only the lowest id
 //    branches;
+//  * sleep sets (general branching): once a move's subtree is finished, no
+//    later sibling's subtree makes that move again — any completion that
+//    would is also a completion of the finished state. The first optimal
+//    leaf in search order is never cut, so spans and witnesses are those
+//    of the full tree;
 //  * incumbent seeding: the offline heuristic's schedule primes the upper
 //    bound so the admissible bound bites from the first node.
 #pragma once
@@ -53,9 +63,6 @@ struct ExactOptions {
   /// exhausted; the reference solver throws AssertionError. Kept as a node
   /// count rather than wall-clock so results stay machine-independent.
   std::size_t max_nodes = 20'000'000;
-  /// Transposition-cache entry cap. When full the cache stops inserting
-  /// (lookups keep working); 0 disables caching entirely.
-  std::size_t max_cache_entries = 2'000'000;
   /// Prime the incumbent with the offline heuristic's schedule. Costs one
   /// heuristic run up front; repays it by making the admissible bound cut
   /// from the first node. Disable for micro-instances measured in isolation.
@@ -103,7 +110,7 @@ struct ExactOptions {
   /// arrival or deadline, all multiples of g. The solver then branches one
   /// fixed most-constrained job per depth over its grid starts (branching
   /// factor = window/g + 1) instead of over all (job, critical-start)
-  /// pairs, keeping the same cache/bound/budget machinery. Disable to
+  /// pairs, keeping the same bound/budget machinery. Disable to
   /// force the general critical-start branching everywhere (differential
   /// tests do; it is also what runs automatically when windows are wide
   /// relative to the instance grid).
@@ -131,10 +138,9 @@ struct ExactResult {
   Schedule schedule;
   std::size_t nodes_explored = 0;
   ExactStatus status = ExactStatus::kOptimal;
-  /// Transposition-cache statistics (exact-entry hits that short-circuited
-  /// a subtree, and entries stored).
+  /// Always 0: the solver's transposition cache was removed. Kept so
+  /// existing readers of the field still compile.
   std::size_t cache_hits = 0;
-  std::size_t cache_entries = 0;
 
   bool optimal() const { return status == ExactStatus::kOptimal; }
 };
