@@ -57,16 +57,16 @@ fi
 scripts/run_clang_tidy.sh 2>&1 | tee -a test_output.txt
 
 # Sanitizer smoke: the offline certification stack (exact solver, bounds,
-# miner, differential pins) plus the fuzz harness under ASan+UBSan. Fast
-# mode — only the tests whose memory behavior recent PRs changed, not the
-# full suite.
+# miner, differential pins), the columnar job table's stat loops, plus the
+# fuzz harness under ASan+UBSan. Fast mode — only the tests whose memory
+# behavior recent PRs changed, not the full suite.
 cmake --preset asan-ubsan
 cmake --build build-asan --target \
-  test_offline_exact test_offline_bounds test_offline_heuristic \
-  test_adversary_miner test_differential test_support_simd \
+  test_core_job_table test_offline_exact test_offline_bounds \
+  test_offline_heuristic test_adversary_miner test_differential \
   test_bugfix_regressions fjs_fuzz
 ctest --test-dir build-asan --output-on-failure \
-  -R 'test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_support_simd|test_bugfix_regressions' \
+  -R 'test_core_job_table|test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_bugfix_regressions' \
   2>&1 | tee -a test_output.txt
 # The same fuzz smoke under the sanitizers (undefined behavior in an
 # oracle or scheduler fails the run even when spans agree).
@@ -117,41 +117,6 @@ build-allocs/src/experiments/fjs_experiments --only e9 --smoke \
 scripts/bench_compare.py BENCH_allocs.json \
   results/e9-allocs/e9/benchmarks.json --allocs \
   || echo "WARNING: allocs-build bench smoke regressed vs BENCH_allocs.json (noisy single run)"
-
-# SIMD scalar gate, three parts (docs/PERF.md, "SIMD kernels"):
-#  1. A -DFJS_SIMD=OFF build (scalar dispatch; the vector kernels stay
-#     compiled and tier-addressable) must pass the FULL test suite —
-#     including the tier-differential tests and the simd-vs-scalar fuzz
-#     oracle, so a vector/scalar divergence fails in either build.
-#  2. Its E9 smoke is diffed against the committed scalar baseline
-#     BENCH_e9_scalar.json — the honest end-to-end scalar measurement
-#     (the in-binary /scalar benchmark curves share a TU with the vector
-#     kernels and get partially auto-vectorized).
-#  3. The default build rerun with FJS_FORCE_SCALAR=1 must produce
-#     byte-identical experiment verdicts: dispatch tier can influence
-#     performance only, never a result.
-cmake -B build-nosimd -G Ninja -DFJS_SIMD=OFF > /dev/null
-cmake --build build-nosimd
-ctest --test-dir build-nosimd 2>&1 | tee -a test_output.txt
-build-nosimd/src/fuzz/fjs_fuzz --smoke 2>&1 | tee -a test_output.txt
-build-nosimd/src/experiments/fjs_experiments --only e9 --smoke \
-  --out results --run-id e9-nosimd --force --quiet
-scripts/bench_compare.py --json results/e9-nosimd-compare.json \
-  BENCH_e9_scalar.json results/e9-nosimd/e9/benchmarks.json \
-  || echo "WARNING: FJS_SIMD=OFF bench smoke regressed vs BENCH_e9_scalar.json (noisy single run)"
-build/src/experiments/fjs_experiments --smoke --skip e9 \
-  --out results --run-id smoke-dispatch --force --quiet
-FJS_FORCE_SCALAR=1 build/src/experiments/fjs_experiments --smoke --skip e9 \
-  --out results --run-id smoke-forced-scalar --force --quiet
-if cmp results/smoke-dispatch/verdicts.json \
-       results/smoke-forced-scalar/verdicts.json; then
-  echo "force-scalar differential OK: verdicts byte-identical" \
-    | tee -a test_output.txt
-else
-  echo "ERROR: FJS_FORCE_SCALAR=1 changed experiment verdicts" \
-    | tee -a test_output.txt
-  exit 1
-fi
 
 # Planted-bug drill: a build with -DFJS_PLANTED_TIEBREAK_BUG=ON swaps the
 # engine's same-tick completion/arrival priority. The fuzzer MUST catch it

@@ -16,7 +16,6 @@
 #include "support/assert.h"
 #include "support/parallel.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
@@ -226,10 +225,9 @@ class BatchEvaluator {
       }
     }
     std::vector<double> values(batch.size(), kPending);
-    // Lane-parallel LB pre-screen: every memo-missed candidate whose
-    // span-free ratio upper bound cannot beat the frozen threshold is
-    // settled here, in lockstep over a padded row-major column batch,
-    // before a single simulation is dispatched. Serial on the calling
+    // LB pre-screen: every memo-missed candidate whose span-free ratio
+    // upper bound cannot beat the frozen threshold is settled here, before
+    // a single simulation is dispatched. Serial on the calling
     // thread — the survivor list (and every settled value) is the same
     // for any pool size.
     const std::vector<std::size_t>& eval_list =
@@ -274,10 +272,10 @@ class BatchEvaluator {
  private:
   static constexpr double kPending = 0.0;  // placeholder until filled above
 
-  /// The lockstep pre-screen (MinerOptions::screen_lb_precut). For lane k
-  /// (memo miss k), the SIMD kernel reduces min arrival, max saturated
-  /// d + p, max length and saturating total length over the candidate's
-  /// rows. Any engine schedule runs inside [min a, max d+p), every busy
+  /// The pre-screen (MinerOptions::screen_lb_precut). One pass over each
+  /// memo miss's rows (the parent's, with the victim row patched) reduces
+  /// min arrival, max saturated d + p, max length and saturating total
+  /// length. Any engine schedule runs inside [min a, max d+p), every busy
   /// instant runs at least one job (so span <= sum p too), and
   /// OPT >= max p; hence
   /// ratio_ub = min(max_dp - min_a, sum_p) / max_p bounds span/OPT from
@@ -303,51 +301,35 @@ class BatchEvaluator {
     }
     for (const std::size_t m : misses) {
       if (row_count(m) != rows) {
-        return misses;  // heterogeneous batch: lanes would not align
+        return misses;  // batches mixing instance sizes are not screened
       }
     }
-    const std::size_t lanes = misses.size();
-    screen_a_.resize(rows * lanes);
-    screen_d_.resize(rows * lanes);
-    screen_p_.resize(rows * lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const Candidate& c = batch[misses[k]];
-      const InstanceView v = c.is_seed ? c.table.view() : parent.view();
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t idx = r * lanes + k;
-        const auto id = static_cast<JobId>(r);
-        if (!c.is_seed && id == c.victim) {
-          screen_a_[idx] = c.arrival.ticks();
-          screen_d_[idx] = c.deadline.ticks();
-          screen_p_[idx] = c.length.ticks();
-        } else {
-          screen_a_[idx] = v.arrival(id).ticks();
-          screen_d_[idx] = v.deadline(id).ticks();
-          screen_p_[idx] = v.length(id).ticks();
-        }
-      }
-    }
-    screen_min_a_.resize(lanes);
-    screen_max_dp_.resize(lanes);
-    screen_max_p_.resize(lanes);
-    screen_sum_p_.resize(lanes);
-    simd::lockstep_screen(screen_a_.data(), screen_d_.data(), screen_p_.data(),
-                          rows, lanes, screen_min_a_.data(),
-                          screen_max_dp_.data(), screen_max_p_.data(),
-                          screen_sum_p_.data());
     survivors_.clear();
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const std::size_t i = misses[k];
+    for (const std::size_t i : misses) {
+      const Candidate& c = batch[i];
+      const InstanceView v = c.is_seed ? c.table.view() : parent.view();
+      Time min_a = Time::max();
+      Time max_dp = Time::min();
+      Time max_p = Time::min();
+      Time sum_p = Time::zero();
+      for (JobId id = 0; id < rows; ++id) {
+        const bool patched = !c.is_seed && id == c.victim;
+        const Time a = patched ? c.arrival : v.arrival(id);
+        const Time d = patched ? c.deadline : v.deadline(id);
+        const Time p = patched ? c.length : v.length(id);
+        min_a = std::min(min_a, a);
+        max_dp = std::max(max_dp, d.saturating_add(p));
+        max_p = std::max(max_p, p);
+        sum_p = sum_p.saturating_add(p);
+      }
       std::int64_t horizon = 0;
       const bool bounded =
-          screen_max_p_[k] > 0 && screen_sum_p_[k] > 0 &&
-          !__builtin_sub_overflow(screen_max_dp_[k], screen_min_a_[k],
-                                  &horizon) &&
+          max_p > Time::zero() && sum_p > Time::zero() &&
+          !__builtin_sub_overflow(max_dp.ticks(), min_a.ticks(), &horizon) &&
           horizon > 0;
       if (bounded) {
         const double ratio_ub =
-            time_ratio(Time(std::min(horizon, screen_sum_p_[k])),
-                       Time(screen_max_p_[k]));
+            time_ratio(std::min(Time(horizon), sum_p), max_p);
         if (ratio_ub <= threshold) {
           values[i] = ratio_ub;
           if (options_.use_objective_memo) {
@@ -392,12 +374,7 @@ class BatchEvaluator {
   std::unordered_map<MemoKey, double, MemoKeyHash> memo_;
   MemoKey key_scratch_;  // reused per candidate; copied only on insert
   std::size_t memo_hits_ = 0;
-  // Pre-screen scratch (capacity reused across batches: the steady state
-  // allocates nothing once every vector has grown to the batch shape).
-  std::vector<std::int64_t> screen_a_, screen_d_, screen_p_;
-  std::vector<std::int64_t> screen_min_a_, screen_max_dp_, screen_max_p_,
-      screen_sum_p_;
-  std::vector<std::size_t> survivors_;
+  std::vector<std::size_t> survivors_;  // screen() output, capacity reused
   std::size_t screen_rejects_ = 0;
 };
 
@@ -559,7 +536,7 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
                             MinerOptions options) {
   const auto probe = make_scheduler(scheduler_key);
   const bool clairvoyant = probe->requires_clairvoyance();
-  // This objective is span/OPT: the lockstep LB pre-screen's span-free
+  // This objective is span/OPT: the LB pre-screen's span-free
   // upper bound is sound for it (and for no arbitrary mine_instance
   // objective), so opt in here.
   options.screen_lb_precut = true;

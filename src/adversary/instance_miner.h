@@ -43,8 +43,7 @@ struct MinerOptions {
   /// revisited instance is never re-solved. The objective is required to be
   /// deterministic, so memoization never changes any result.
   bool use_objective_memo = true;
-  /// Lane-parallel lower-bound pre-screen (SIMD lockstep over the batch's
-  /// padded columns, support/simd.h): before any candidate is dispatched,
+  /// Lower-bound pre-screen: before any candidate is dispatched,
   /// settle every candidate whose span-free ratio upper bound
   /// min(latest_completion - earliest_arrival, total_work) / max_length
   /// cannot exceed the frozen threshold — without simulating or certifying
@@ -75,7 +74,7 @@ struct MinerResult {
   /// mine_worst_case only: candidates discarded because the exact solver's
   /// node budget ran out before certifying OPT (objective treated as 0).
   std::size_t budget_skips = 0;
-  /// Candidates settled by the lane-parallel LB pre-screen (no simulation,
+  /// Candidates settled by the LB pre-screen (no simulation,
   /// no certification; see MinerOptions::screen_lb_precut). Objective
   /// calls are evaluations - memo_hits - screen_rejects.
   std::size_t screen_rejects = 0;

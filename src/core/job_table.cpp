@@ -1,42 +1,27 @@
 #include "core/job_table.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <sstream>
-
-#include "support/simd.h"
 
 namespace fjs {
 
 double InstanceView::mu() const {
   FJS_REQUIRE(!empty(), "mu of empty instance");
-  const simd::MinMax mm = simd::minmax_ticks(lengths_.data(), lengths_.size());
-  return time_ratio(Time(mm.max), Time(mm.min));
+  return time_ratio(max_length(), min_length());
 }
 
 Time InstanceView::min_length() const {
   FJS_REQUIRE(!empty(), "min_length of empty instance");
-  return Time(simd::minmax_ticks(lengths_.data(), lengths_.size()).min);
+  return *std::min_element(lengths_.begin(), lengths_.end());
 }
 
 Time InstanceView::max_length() const {
   FJS_REQUIRE(!empty(), "max_length of empty instance");
-  return Time(simd::minmax_ticks(lengths_.data(), lengths_.size()).max);
+  return *std::max_element(lengths_.begin(), lengths_.end());
 }
 
 Time InstanceView::total_work() const {
-  if (empty()) {
-    return Time::zero();
-  }
-  const simd::SatSum s =
-      simd::sum_saturating_nonneg(lengths_.data(), lengths_.size());
-  if (!s.overflowed) {
-    return Time(s.sum);
-  }
-  // Overflow (or negative lengths in an unvalidated scratch, which the
-  // kernel's carry check also routes here): re-run the checked scalar
-  // loop so the result — value or AssertionError — is exactly the
-  // pre-kernel behavior.
   Time total = Time::zero();
   for (const Time p : lengths_) {
     total = total.checked_add(p);
@@ -45,23 +30,8 @@ Time InstanceView::total_work() const {
 }
 
 Time InstanceView::total_work_saturating(bool* overflowed) const {
-  if (empty()) {
-    if (overflowed != nullptr) {
-      *overflowed = false;
-    }
-    return Time::zero();
-  }
-  const simd::SatSum s =
-      simd::sum_saturating_nonneg(lengths_.data(), lengths_.size());
-  if (!s.overflowed) {
-    if (overflowed != nullptr) {
-      *overflowed = false;
-    }
-    return Time(s.sum);
-  }
-  // Lengths are positive in a validated table, so the saturating sum only
-  // ever clips at Time::max(); the legacy step-wise loop stays the
-  // authority for the (rare) clipped case and for unvalidated inputs.
+  // Lengths are positive in a validated table, so the running sum only
+  // ever clips at Time::max().
   bool clipped = false;
   Time total = Time::zero();
   for (const Time p : lengths_) {
@@ -80,18 +50,11 @@ Time InstanceView::total_work_saturating(bool* overflowed) const {
 
 Time InstanceView::earliest_arrival() const {
   FJS_REQUIRE(!empty(), "earliest_arrival of empty instance");
-  return Time(simd::minmax_ticks(arrivals_.data(), arrivals_.size()).min);
+  return *std::min_element(arrivals_.begin(), arrivals_.end());
 }
 
 Time InstanceView::latest_completion() const {
   FJS_REQUIRE(!empty(), "latest_completion of empty instance");
-  const simd::MaxSum s = simd::max_pairwise_sum(
-      deadlines_.data(), lengths_.data(), deadlines_.size());
-  if (!s.overflowed) {
-    return Time(s.max);
-  }
-  // Some d + p is unrepresentable: re-run the checked scalar loop so the
-  // AssertionError fires at the same row with the same message.
   Time m = Time::min();
   for (std::size_t i = 0; i < deadlines_.size(); ++i) {
     m = std::max(m, deadlines_[i].checked_add(lengths_[i]));
@@ -99,12 +62,25 @@ Time InstanceView::latest_completion() const {
   return m;
 }
 
+namespace {
+
+/// Fills `out` with 0..n-1 ordered by (key, id).
+void sort_ids_by_key(std::span<const Time> keys, std::vector<JobId>& out) {
+  out.resize(keys.size());
+  std::iota(out.begin(), out.end(), JobId{0});
+  std::sort(out.begin(), out.end(), [keys](JobId x, JobId y) {
+    return keys[x] != keys[y] ? keys[x] < keys[y] : x < y;
+  });
+}
+
+}  // namespace
+
 void InstanceView::ids_by_arrival(std::vector<JobId>& out) const {
-  simd::sort_ids_by_key(arrivals_.data(), arrivals_.size(), out);
+  sort_ids_by_key(arrivals_, out);
 }
 
 void InstanceView::ids_by_deadline(std::vector<JobId>& out) const {
-  simd::sort_ids_by_key(deadlines_.data(), deadlines_.size(), out);
+  sort_ids_by_key(deadlines_, out);
 }
 
 std::vector<JobId> InstanceView::ids_by_arrival() const {
@@ -164,13 +140,9 @@ JobTable::JobTable(const std::vector<Job>& jobs) {
   }
 }
 
-JobTable::JobTable(InstanceView view) {
-  reserve(view.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    arrival_.push_back(view.arrivals()[i]);
-    deadline_.push_back(view.deadlines()[i]);
-    length_.push_back(view.lengths()[i]);
-  }
-}
+JobTable::JobTable(InstanceView view)
+    : arrival_(view.arrivals().begin(), view.arrivals().end()),
+      deadline_(view.deadlines().begin(), view.deadlines().end()),
+      length_(view.lengths().begin(), view.lengths().end()) {}
 
 }  // namespace fjs

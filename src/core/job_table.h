@@ -1,9 +1,7 @@
 // Columnar (SoA) job storage and the non-owning view over it.
 //
-// JobTable holds the three job columns (arrival, deadline, length) in
-// parallel 64-byte-aligned, tail-padded columns (support/aligned.h)
-// indexed by JobId — the alignment contract the SIMD kernels
-// (support/simd.h) rely on for the owned path. InstanceView is a std::span-based
+// JobTable holds the three job columns (arrival, deadline, length) as
+// parallel vectors indexed by JobId. InstanceView is a std::span-based
 // window onto those columns: every heavy consumer (engine lowering, the
 // offline bounds, the exact-solver pre-pass, the miner's batch
 // evaluator) reads jobs through a view, so a mutation scratch buffer
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include "core/job.h"
-#include "support/aligned.h"
 #include "support/assert.h"
 
 namespace fjs {
@@ -252,27 +249,20 @@ class JobTable {
     set(undo.id, undo.arrival, undo.deadline, undo.length);
   }
 
-  std::span<const Time> arrivals() const {
-    return {arrival_.data(), arrival_.size()};
-  }
-  std::span<const Time> deadlines() const {
-    return {deadline_.data(), deadline_.size()};
-  }
-  std::span<const Time> lengths() const {
-    return {length_.data(), length_.size()};
-  }
+  std::span<const Time> arrivals() const { return arrival_; }
+  std::span<const Time> deadlines() const { return deadline_; }
+  std::span<const Time> lengths() const { return length_; }
 
   InstanceView view() const {
     return InstanceView(arrivals(), deadlines(), lengths());
   }
 
  private:
-  // AlignedColumn (not std::vector): 64-byte-aligned bases with
-  // zero-filled tail padding to a 64-byte multiple, so vector kernels may
-  // read full lanes past size() on the owned path. See DATA_MODEL.md.
-  AlignedColumn<Time> arrival_;
-  AlignedColumn<Time> deadline_;
-  AlignedColumn<Time> length_;
+  // Copy-assign reuses capacity, so the miner's per-batch
+  // `scratch = parent` resync allocates nothing at steady state.
+  std::vector<Time> arrival_;
+  std::vector<Time> deadline_;
+  std::vector<Time> length_;
 };
 
 }  // namespace fjs

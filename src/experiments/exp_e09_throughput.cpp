@@ -30,7 +30,6 @@
 #include "sim/portfolio.h"
 #include "support/alloc_counter.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 #include "workload/generator.h"
@@ -315,19 +314,12 @@ void anneal(benchmark::State& state, bool incremental) {
   state.SetLabel("proposals");
 }
 
-// The SIMD layer's two hot reduction bundles (docs/PERF.md, "SIMD
-// kernels"), each in a /simd vs /scalar pair via the force-scalar
-// override. The pair is the speedup measurement — same build, same
-// inputs, only the dispatch tier differs — and the /scalar curve doubles
-// as the FJS_SIMD=OFF proxy BENCH_e9_scalar.json gates against.
-//
 // BM_ViewStats: the full derived-stat recompute an InstanceView pays on
-// every fresh read (minmax lengths, arrival/completion window, saturating
-// total work, both radix orderings) over a 4096-job view.
-void view_stats(benchmark::State& state, bool scalar) {
+// every fresh read (min/max lengths, arrival/completion window, saturating
+// total work, both id orderings) over a 4096-job view.
+void view_stats(benchmark::State& state) {
   const Instance inst = bench_instance(4'096, 17);
   const InstanceView view = inst.view();
-  simd::set_force_scalar(scalar);
   std::vector<JobId> order;
   view.ids_by_arrival(order);  // warm the buffer outside the loop
   std::int64_t acc = 0;
@@ -343,34 +335,24 @@ void view_stats(benchmark::State& state, bool scalar) {
     acc += order.back();
     benchmark::DoNotOptimize(acc);
   }
-  simd::set_force_scalar(false);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(inst.size()));
-  state.SetLabel(scalar ? "forced scalar"
-                        : simd::tier_name(simd::active_tier()));
 }
 
-// BM_LowerBoundBatch: the vectorized offline certification bounds —
-// mandatory-work interval union (saturating a+p, compaction, radix-ordered
-// sweep) and the max-length bound (minmax reduction) — over the same
-// 4096-job view. chain_lower_bound is deliberately excluded: its cost is
-// the serial Pareto-front DP (docs/PERF.md), which no tier vectorizes, so
-// including it would only dilute the pair toward parity.
-void lower_bound_batch(benchmark::State& state, bool scalar) {
+// BM_LowerBoundBatch: the mandatory-work interval union and the
+// max-length bound over a 4096-job view. chain_lower_bound has its own
+// cost profile (the serial Pareto-front DP, docs/PERF.md) and is left out.
+void lower_bound_batch(benchmark::State& state) {
   const Instance inst = bench_instance(4'096, 19);
   const InstanceView view = inst.view();
-  simd::set_force_scalar(scalar);
   std::int64_t acc = 0;
   for (auto _ : state) {
     acc += mandatory_lower_bound(view).ticks();
     acc += max_length_lower_bound(view).ticks();
     benchmark::DoNotOptimize(acc);
   }
-  simd::set_force_scalar(false);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(inst.size()));
-  state.SetLabel(scalar ? "forced scalar"
-                        : simd::tier_name(simd::active_tier()));
 }
 
 void heuristic(benchmark::State& state) {
@@ -508,20 +490,12 @@ void register_benchmarks(bool smoke) {
       b->MinTime(smoke_min_time);
     }
   }
-  // In both profiles: the SIMD speedup pair is what reproduce.sh's
-  // scalar-build gate (BENCH_e9_scalar.json) and the BENCH_e9.json smoke
-  // baseline read; /simd vs /scalar in one run is the speedup claim.
-  for (const bool scalar : {false, true}) {
-    const char* suffix = scalar ? "scalar" : "simd";
-    auto* stats = benchmark::RegisterBenchmark(
-        (std::string("BM_ViewStats/") + suffix).c_str(),
-        [scalar](benchmark::State& state) { view_stats(state, scalar); });
+  {
+    // In both profiles: the BENCH_e9.json smoke baseline reads these two.
+    auto* stats = benchmark::RegisterBenchmark("BM_ViewStats", view_stats);
     stats->Unit(benchmark::kMicrosecond);
-    auto* bounds = benchmark::RegisterBenchmark(
-        (std::string("BM_LowerBoundBatch/") + suffix).c_str(),
-        [scalar](benchmark::State& state) {
-          lower_bound_batch(state, scalar);
-        });
+    auto* bounds =
+        benchmark::RegisterBenchmark("BM_LowerBoundBatch", lower_bound_batch);
     bounds->Unit(benchmark::kMicrosecond);
     if (smoke) {
       stats->MinTime(smoke_min_time);

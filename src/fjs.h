@@ -50,9 +50,7 @@
 #include "sim/source.h"
 #include "sim/trace.h"
 #include "sim/trace_check.h"
-#include "support/aligned.h"
 #include "support/object_pool.h"
-#include "support/simd.h"
 #include "support/telemetry.h"
 #include "offline/annealing.h"
 #include "workload/cloud_trace.h"

@@ -19,8 +19,6 @@
 #include "offline/exact.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -31,8 +29,6 @@
 #include "core/interval_set.h"
 #include "offline/heuristic.h"
 #include "support/assert.h"
-#include "support/parallel.h"
-#include "support/thread_pool.h"
 
 namespace fjs {
 namespace {
@@ -141,25 +137,6 @@ class CoverageCursor {
   std::int64_t acc_ = 0;
 };
 
-/// State shared between the per-worker searches of one exact_optimal call.
-struct Shared {
-  std::atomic<std::int64_t> incumbent;  // best known complete-span ticks
-  std::atomic<std::size_t> nodes{0};
-  std::atomic<bool> aborted{false};
-  std::size_t max_nodes;
-
-  Shared(Time seed_span, std::size_t budget)
-      : incumbent(seed_span.ticks()), max_nodes(budget) {}
-
-  void offer_incumbent(Time span) {
-    std::int64_t cur = incumbent.load(std::memory_order_relaxed);
-    while (span.ticks() < cur &&
-           !incumbent.compare_exchange_weak(cur, span.ticks(),
-                                            std::memory_order_relaxed)) {
-    }
-  }
-};
-
 struct Move {
   JobId job;
   Time start;
@@ -171,26 +148,21 @@ struct Outcome {
   bool exact;
 };
 
-/// One worker's search: owns its memo and scratch buffers; shares the
-/// incumbent / node budget through Shared. Reusable: init()
-/// rebinds to a new instance while keeping every scratch buffer's capacity,
-/// so hot loops (the miner certifies thousands of candidates per mine) pay
-/// no per-call allocation churn — the serial driver keeps one thread_local
-/// Search warm.
+/// One search: owns its memo, scratch buffers, incumbent and node budget.
+/// Reusable: init() rebinds to a new instance while keeping every scratch
+/// buffer's capacity, so hot loops (the miner certifies thousands of
+/// candidates per mine) pay no per-call allocation churn — run_search
+/// keeps one thread_local Search warm.
 class Search {
  public:
   Search() = default;
 
-  void init(InstanceView inst, const ExactOptions& opts, Shared& shared,
-            bool serial) {
+  void init(InstanceView inst, const ExactOptions& opts, Time seed_span) {
     view_ = inst;
     opts_ = &opts;
-    shared_ = &shared;
-    serial_ = serial;
-    serial_nodes_ = 0;
-    serial_aborted_ = false;
-    serial_incumbent_ = shared.incumbent.load(std::memory_order_relaxed);
-    reconstructing_ = false;
+    nodes_ = 0;
+    aborted_ = false;
+    incumbent_ = seed_span;
     best_sched_span_ = Time::max();
     mandatory_.clear();
     grid_ = 0;
@@ -306,29 +278,16 @@ class Search {
     best_starts_.resize(n);
   }
 
-  /// Serial mode keeps the node/abort/incumbent counters in plain members
-  /// (the atomic fetch_add is a measurable per-node tax); the driver folds
-  /// them back into Shared when the search returns.
-  void flush_serial_counters() {
-    if (!serial_) {
-      return;
-    }
-    shared_->nodes.store(serial_nodes_, std::memory_order_relaxed);
-    if (serial_aborted_) {
-      shared_->aborted.store(true, std::memory_order_relaxed);
-    }
-    shared_->offer_incumbent(Time(serial_incumbent_));
-  }
-
   /// Fail-soft search: returns (value, exact) where exact means value is
   /// the optimal completion span of the state; otherwise value is a valid
   /// lower bound on it (>= bound unless the run aborted).
   Outcome solve(Mask mask, const Components& comps, Time bound,
                 std::size_t depth) {
-    if (aborted()) {
+    if (aborted_) {
       return Outcome{bound, false};
     }
-    if (count_node()) {
+    if (++nodes_ > opts_->max_nodes) {
+      aborted_ = true;
       return Outcome{bound, false};
     }
     if (mask == 0) {
@@ -339,13 +298,10 @@ class Search {
           best_starts_ = path_;
         }
       }
-      offer_incumbent(span);
+      incumbent_ = std::min(incumbent_, span);
       return Outcome{span, true};
     }
-    Time eff = bound;
-    if (!reconstructing_) {
-      eff = std::min(eff, incumbent());
-    }
+    const Time eff = std::min(bound, incumbent_);
     // Admissible bound. In the integral fast path the branch job j* at this
     // node is fixed, so the union bound for `mask` decomposes as
     // measure(base ∪ mandatory(j*)) with base = comps ∪ mandatory(mask\j*)
@@ -400,7 +356,7 @@ class Search {
         const Outcome o = solve(mask & ~bit(dom.job), child, eff, depth + 1);
         best = o.value;
         best_exact = o.exact;
-        if (aborted()) {
+        if (aborted_) {
           return Outcome{best, false};
         }
         expanded = true;
@@ -481,7 +437,7 @@ class Search {
               best = o.value;
               best_exact = o.exact;
             }
-            if (aborted()) {
+            if (aborted_) {
               return Outcome{best, false};
             }
             if (best_exact && best <= lb) {
@@ -548,7 +504,7 @@ class Search {
           best = o.value;
           best_exact = o.exact;
         }
-        if (aborted()) {
+        if (aborted_) {
           wake(sleep_base);
           return Outcome{best, false};
         }
@@ -570,56 +526,10 @@ class Search {
     return Outcome{best, best_exact};
   }
 
-  /// Extracts starts achieving `target` from the state by walking the move
-  /// order and re-solving each child under `target + 1`: the fail-soft
-  /// search returns the child's exact optimum whenever it is <= target, so
-  /// the first child reporting exactly `target` lies on an optimal path.
-  /// Returns false only if the node budget ran out mid-walk.
-  bool reconstruct(Mask mask, Components comps, Time target,
-                   std::vector<Time>& starts) {
-    reconstructing_ = true;
-    std::vector<Move> moves;
-    Components child;
-    std::size_t depth = view_.size() - static_cast<std::size_t>(
-                                           std::popcount(mask));
-    while (mask != 0) {
-      collect_moves(mask, comps, depth, moves);
-      bool advanced = false;
-      for (const Move& m : moves) {
-        with_inserted(comps, view_.job(m.job).active_interval(m.start),
-                      child);
-        const Mask child_mask = mask & ~bit(m.job);
-        const Outcome o = solve(child_mask, child, target + Time(1), depth + 1);
-        if (aborted()) {
-          reconstructing_ = false;
-          return false;
-        }
-        if (o.exact && o.value == target) {
-          starts[m.job] = m.start;
-          comps = child;
-          mask = child_mask;
-          ++depth;
-          advanced = true;
-          break;
-        }
-      }
-      FJS_CHECK(advanced, "exact: reconstruction found no child achieving "
-                          "the proven optimal span");
-    }
-    reconstructing_ = false;
-    FJS_CHECK(components_measure(comps) == target,
-              "exact: reconstructed span mismatch");
-    return true;
-  }
-
   Time best_sched_span() const { return best_sched_span_; }
   const std::vector<Time>& best_starts() const { return best_starts_; }
-
-  /// Root branching, shared with the parallel driver: moves on the empty
-  /// union, deterministic order.
-  void root_moves(Mask mask, std::vector<Move>& out) {
-    collect_moves(mask, Components{}, 0, out);
-  }
+  std::size_t nodes() const { return nodes_; }
+  bool aborted() const { return aborted_; }
 
  private:
   struct MandatoryRegion {
@@ -637,30 +547,6 @@ class Search {
     Time hi = Time::zero();
   };
 
-  bool aborted() const {
-    return serial_ ? serial_aborted_
-                   : shared_->aborted.load(std::memory_order_relaxed);
-  }
-
-  /// Accounts one search node; returns true when the budget just ran out.
-  /// Serial mode uses a plain counter with semantics identical to the
-  /// atomic path (increment, compare against the same budget).
-  bool count_node() {
-    if (serial_) {
-      if (++serial_nodes_ > shared_->max_nodes) {
-        serial_aborted_ = true;
-        return true;
-      }
-      return false;
-    }
-    if (shared_->nodes.fetch_add(1, std::memory_order_relaxed) + 1 >
-        shared_->max_nodes) {
-      shared_->aborted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
   bool asleep(const Move& m) const {
     const std::vector<Time>& starts = asleep_[m.job];
     return std::find(starts.begin(), starts.end(), m.start) != starts.end();
@@ -671,19 +557,6 @@ class Search {
     while (asleep_log_.size() > base) {
       asleep_[asleep_log_.back()].pop_back();
       asleep_log_.pop_back();
-    }
-  }
-
-  Time incumbent() const {
-    return Time(serial_ ? serial_incumbent_
-                        : shared_->incumbent.load(std::memory_order_relaxed));
-  }
-
-  void offer_incumbent(Time span) {
-    if (serial_) {
-      serial_incumbent_ = std::min(serial_incumbent_, span.ticks());
-    } else {
-      shared_->offer_incumbent(span);
     }
   }
 
@@ -960,12 +833,10 @@ class Search {
 
   /// Children of a node, cheapest marginal first. Applies dominance (a
   /// zero-marginal placement is committed as the single forced move) and
-  /// twin symmetry breaking. Deterministic — reconstruction replays it.
-  /// `grid_branch` lets solve() hand over its already-computed branch job
-  /// (grid mode only); kInvalidJob means compute it here.
+  /// twin symmetry breaking. `grid_branch` is solve()'s already-computed
+  /// branch job (grid mode only); kInvalidJob means compute it here.
   void collect_moves(Mask mask, const Components& comps, std::size_t depth,
-                     std::vector<Move>& moves,
-                     JobId grid_branch = kInvalidJob) {
+                     std::vector<Move>& moves, JobId grid_branch) {
     moves.clear();
     Move dom;
     if (dominance_move(mask, comps, &dom)) {
@@ -1150,13 +1021,10 @@ class Search {
 
   InstanceView view_;
   const ExactOptions* opts_ = nullptr;
-  Shared* shared_ = nullptr;
   static constexpr std::int64_t kMaxGridStarts = 128;
-  // Serial-mode mirrors of Shared's atomics (see count_node).
-  bool serial_ = false;
-  bool serial_aborted_ = false;
-  std::size_t serial_nodes_ = 0;
-  std::int64_t serial_incumbent_ = 0;
+  Time incumbent_;          // best known complete span
+  std::size_t nodes_ = 0;   // search nodes so far, against opts_->max_nodes
+  bool aborted_ = false;    // node budget ran out
 
   std::vector<Mask> lower_twins_;
   std::vector<JobId> by_arrival_;
@@ -1179,7 +1047,6 @@ class Search {
   std::vector<ChainInfo> chain_direct_;
   std::vector<std::uint32_t> chain_stamp_;
   std::unordered_map<Mask, ChainInfo> chain_memo_;
-  bool reconstructing_ = false;
   // General-mode sleep sets: per job, the starts whose subtrees an ancestor
   // already finished as earlier siblings on the current path, plus the push
   // order for unwinding. Empty whenever no solve() is on the stack.
@@ -1212,7 +1079,7 @@ Schedule schedule_from_starts(const Instance& inst,
 }
 
 ExactResult finish(const Instance* owner, Time span, Schedule schedule,
-                   ExactStatus status, const Shared& shared) {
+                   ExactStatus status, std::size_t nodes) {
   // span_only results carry an empty schedule; there is nothing to check.
   FJS_CHECK(schedule.size() == 0 ||
                 (owner != nullptr && schedule.span(*owner) == span),
@@ -1220,18 +1087,17 @@ ExactResult finish(const Instance* owner, Time span, Schedule schedule,
   ExactResult result;
   result.span = span;
   result.schedule = std::move(schedule);
-  result.nodes_explored = shared.nodes.load(std::memory_order_relaxed);
+  result.nodes_explored = nodes;
   result.status = status;
   return result;
 }
 
 /// Shared search driver. `owner` is the owning Instance when the caller
-/// has one (required for every non-span_only run: reconstruction and
-/// schedule validation need it); the span_only view path passes nullptr.
+/// has one (required for every non-span_only run: schedule construction
+/// and validation need it); the span_only view path passes nullptr.
 ExactResult run_search(InstanceView view, const Instance* owner,
                        Schedule seed_schedule, Time seed_span,
                        const ExactOptions& options) {
-  Shared shared(seed_span, options.max_nodes);
   const Mask full =
       view.size() == 64 ? ~Mask{0} : (Mask{1} << view.size()) - 1;
 
@@ -1239,124 +1105,50 @@ ExactResult run_search(InstanceView view, const Instance* owner,
   // only engages when it would genuinely clamp the root bound.
   const bool floor_active = options.decision_floor > Time::zero() &&
                             options.decision_floor < seed_span;
-  const std::size_t workers = (options.pool != nullptr && !floor_active)
-                                  ? options.pool->thread_count()
-                                  : 1;
-  if (workers <= 1 || view.size() < 8) {
-    // One warm Search per thread: the miner certifies thousands of
-    // candidates back-to-back on the same worker, and init() reuses every
-    // scratch buffer / hash table's capacity.
-    thread_local Search search;
-    search.init(view, options, shared, /*serial=*/true);
-    const Outcome o = search.solve(
-        full, Components{},
-        floor_active ? options.decision_floor : seed_span, 0);
-    search.flush_serial_counters();
-    if (shared.aborted.load(std::memory_order_relaxed)) {
-      // Best-so-far: the seed unless the search surfaced a better terminal.
-      if (search.best_sched_span() < seed_span) {
-        return finish(owner, search.best_sched_span(),
-                      options.span_only
-                          ? Schedule(0)
-                          : schedule_from_starts(*owner,
-                                                 search.best_starts()),
-                      ExactStatus::kBudgetExceeded, shared);
-      }
-      return finish(owner, seed_span, std::move(seed_schedule),
-                    ExactStatus::kBudgetExceeded, shared);
+  // One warm Search per thread: the miner certifies thousands of
+  // candidates back-to-back on the same worker, and init() reuses every
+  // scratch buffer / hash table's capacity.
+  thread_local Search search;
+  search.init(view, options, seed_span);
+  const Outcome o = search.solve(
+      full, Components{}, floor_active ? options.decision_floor : seed_span,
+      0);
+  const std::size_t nodes = search.nodes();
+  if (search.aborted()) {
+    // Best-so-far: the seed unless the search surfaced a better terminal.
+    if (search.best_sched_span() < seed_span) {
+      return finish(owner, search.best_sched_span(),
+                    options.span_only
+                        ? Schedule(0)
+                        : schedule_from_starts(*owner, search.best_starts()),
+                    ExactStatus::kBudgetExceeded, nodes);
     }
-    if (!o.exact || o.value >= seed_span) {
-      if (!o.exact && floor_active && o.value < seed_span) {
-        // Fail-soft guarantee: a non-exact, non-aborted outcome is a valid
-        // lower bound on OPT no smaller than the root bound — the floor.
-        FJS_CHECK(o.value >= options.decision_floor,
-                  "exact: floor search returned a bound below the floor");
-        return finish(owner, seed_span, std::move(seed_schedule),
-                      ExactStatus::kFloorProven, shared);
-      }
-      // The search proved nothing beats the seed: the seed is optimal.
-      return finish(owner, seed_span, std::move(seed_schedule),
-                    ExactStatus::kOptimal, shared);
-    }
-    if (options.span_only) {
-      return finish(owner, o.value, Schedule(0), ExactStatus::kOptimal,
-                    shared);
-    }
-    // Every exact value the search returns comes from a terminal it
-    // visited, so the best terminal it recorded is a witness.
-    FJS_CHECK(search.best_sched_span() == o.value,
-              "exact: optimum without a recorded witness");
-    return finish(owner, o.value,
-                  schedule_from_starts(*owner, search.best_starts()),
-                  ExactStatus::kOptimal, shared);
-  }
-
-  // Parallel root split: the root's (job, start) branches are chunked
-  // contiguously across workers, each with its own Search, all sharing the
-  // atomic incumbent. Reduction runs in branch order, so the optimal span
-  // is independent of the thread count and of scheduling timing.
-  std::vector<Move> roots;
-  Search probe;
-  probe.init(view, options, shared, /*serial=*/false);
-  probe.root_moves(full, roots);
-  const std::size_t chunks = std::min(workers, roots.size());
-  std::vector<Outcome> outcomes(roots.size(),
-                                Outcome{Time::max(), false});
-  parallel_for(*options.pool, chunks, [&](std::size_t c) {
-    Search search;
-    search.init(view, options, shared, /*serial=*/false);
-    const std::size_t begin = c * roots.size() / chunks;
-    const std::size_t end = (c + 1) * roots.size() / chunks;
-    Components child;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Move& m = roots[i];
-      with_inserted(Components{}, view.job(m.job).active_interval(m.start),
-                    child);
-      outcomes[i] = search.solve(
-          full & ~bit(m.job), child,
-          Time(shared.incumbent.load(std::memory_order_relaxed)), 1);
-    }
-  });
-
-  Time best = seed_span;
-  std::size_t best_idx = roots.size();
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    if (outcomes[i].exact && outcomes[i].value < best) {
-      best = outcomes[i].value;
-      best_idx = i;
-    }
-  }
-  const bool aborted = shared.aborted.load(std::memory_order_relaxed);
-  if (best_idx == roots.size()) {
-    // Seed optimal (nothing strictly better), or budget ran out first.
     return finish(owner, seed_span, std::move(seed_schedule),
-                  aborted ? ExactStatus::kBudgetExceeded
-                          : ExactStatus::kOptimal,
-                  shared);
+                  ExactStatus::kBudgetExceeded, nodes);
+  }
+  if (!o.exact || o.value >= seed_span) {
+    if (!o.exact && floor_active && o.value < seed_span) {
+      // Fail-soft guarantee: a non-exact, non-aborted outcome is a valid
+      // lower bound on OPT no smaller than the root bound — the floor.
+      FJS_CHECK(o.value >= options.decision_floor,
+                "exact: floor search returned a bound below the floor");
+      return finish(owner, seed_span, std::move(seed_schedule),
+                    ExactStatus::kFloorProven, nodes);
+    }
+    // The search proved nothing beats the seed: the seed is optimal.
+    return finish(owner, seed_span, std::move(seed_schedule),
+                  ExactStatus::kOptimal, nodes);
   }
   if (options.span_only) {
-    return finish(owner, best, Schedule(0),
-                  aborted ? ExactStatus::kBudgetExceeded
-                          : ExactStatus::kOptimal,
-                  shared);
+    return finish(owner, o.value, Schedule(0), ExactStatus::kOptimal, nodes);
   }
-  // Reconstruct below the winning root branch. The walk re-solves every
-  // child under a fixed bound with the incumbent ignored, so its result
-  // does not depend on which Search ran the branch; the probe does it.
-  std::vector<Time> starts(view.size());
-  const Move& wm = roots[best_idx];
-  starts[wm.job] = wm.start;
-  Components child;
-  with_inserted(Components{}, view.job(wm.job).active_interval(wm.start),
-                child);
-  if (!probe.reconstruct(full & ~bit(wm.job), std::move(child), best,
-                         starts)) {
-    return finish(owner, seed_span, std::move(seed_schedule),
-                  ExactStatus::kBudgetExceeded, shared);
-  }
-  return finish(owner, best, schedule_from_starts(*owner, starts),
-                aborted ? ExactStatus::kBudgetExceeded : ExactStatus::kOptimal,
-                shared);
+  // Every exact value the search returns comes from a terminal it
+  // visited, so the best terminal it recorded is a witness.
+  FJS_CHECK(search.best_sched_span() == o.value,
+            "exact: optimum without a recorded witness");
+  return finish(owner, o.value,
+                schedule_from_starts(*owner, search.best_starts()),
+                ExactStatus::kOptimal, nodes);
 }
 
 }  // namespace

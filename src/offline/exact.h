@@ -51,8 +51,6 @@
 
 namespace fjs {
 
-class ThreadPool;
-
 struct ExactOptions {
   /// Grid step for the *reference* solver only (exact_optimal_reference);
   /// the branch-and-bound ignores it. The reference requires
@@ -87,9 +85,6 @@ struct ExactOptions {
   ///  * kFloorProven: OPT >= floor is proven; span/schedule hold the best
   ///    known feasible incumbent (an upper bound), NOT the optimum;
   ///  * kBudgetExceeded: as without the floor.
-  /// Floor-clamped runs use the serial search even when `pool` is set (the
-  /// parallel reduction cannot distinguish "seed optimal" from "floor
-  /// proven").
   Time decision_floor = Time::zero();
   /// Span-only mode: the caller wants the optimal span (or a floor proof),
   /// not a witness schedule. Skips incumbent-schedule construction and the
@@ -115,12 +110,6 @@ struct ExactOptions {
   /// tests do; it is also what runs automatically when windows are wide
   /// relative to the instance grid).
   bool use_integral_fast_path = true;
-  /// Optional pool for splitting the root branches across workers. nullptr
-  /// or a 1-thread pool keeps the fully deterministic serial search. With
-  /// a real pool the optimal SPAN is still deterministic (tasks share an
-  /// atomic incumbent, reduced in branch order), but which of several
-  /// equally-optimal schedules is returned may vary run to run.
-  ThreadPool* pool = nullptr;
 };
 
 enum class ExactStatus {

@@ -137,13 +137,18 @@ std::string json_escape(const std::string& text) {
 
 namespace {
 
-// Shortest representation that parses back to the same double: try
-// increasing precision until strtod round-trips. Integers under 2^53
-// therefore print without an exponent or trailing ".0".
+// Integral values with |v| <= 2^53 (every one exact in a double) print as
+// plain integers: "2780", not "2.78e+03". Anything else takes the shortest
+// representation that parses back to the same double: try increasing
+// precision until strtod round-trips.
 std::string format_number(double value) {
   FJS_REQUIRE(std::isfinite(value),
               "JsonValue: JSON cannot represent nan/inf");
   char buf[32];
+  if (std::trunc(value) == value && std::fabs(value) <= 0x1p53) {
+    std::snprintf(buf, sizeof buf, "%.0f", value);
+    return buf;
+  }
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof buf, "%.*g", precision, value);
     if (std::strtod(buf, nullptr) == value) {

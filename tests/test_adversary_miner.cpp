@@ -157,6 +157,10 @@ TEST(MinerScreen, WorstCaseMineScreensAndStaysConsistent) {
   EXPECT_GT(result.screen_rejects, 0u);
   EXPECT_LE(result.screen_rejects,
             result.evaluations - result.memo_hits);
+  // Pinned: perfbench hashes screen_rejects into its mine digest, so the
+  // screen must settle exactly these candidates.
+  EXPECT_EQ(result.evaluations, 144u);
+  EXPECT_EQ(result.screen_rejects, 19u);
 }
 
 TEST(MinerBudget, UncertifiableCandidatesAreSkippedNotFatal) {

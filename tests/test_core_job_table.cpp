@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/instance.h"
@@ -150,24 +152,7 @@ TEST(JobTable, ColumnLengthMismatchIsRejectedByViewCtor) {
   EXPECT_THROW(InstanceView(two, three, two), AssertionError);
 }
 
-TEST(JobTable, ColumnsAre64ByteAligned) {
-  // The SIMD kernels' owned-path padding guarantee (support/aligned.h):
-  // column bases stay 64-byte aligned through growth so full-width vector
-  // loads on the owned path never straddle an unmapped page.
-  JobTable table;
-  for (std::size_t i = 0; i < 100; ++i) {
-    table.push_back(U(static_cast<double>(i)), U(static_cast<double>(i + 1)),
-                    U(1));
-    for (const auto* base : {table.arrivals().data(),
-                             table.deadlines().data(),
-                             table.lengths().data()}) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % 64, 0u)
-          << "after " << i + 1 << " rows";
-    }
-  }
-}
-
-TEST(InstanceViewSimd, EmptyAndSingleRowStats) {
+TEST(InstanceViewStats, EmptyAndSingleRowStats) {
   JobTable empty;
   EXPECT_EQ(empty.view().total_work(), Time::zero());
   JobTable one;
@@ -181,9 +166,8 @@ TEST(InstanceViewSimd, EmptyAndSingleRowStats) {
   EXPECT_EQ(v.ids_by_arrival(), std::vector<JobId>{0});
 }
 
-TEST(InstanceViewSimd, AllEqualKeysOrderByIdAtEveryScale) {
-  // Radix path (above the small-n cutoff) and comparison path must both
-  // realize the (key, id) total order when every key ties.
+TEST(InstanceViewStats, AllEqualKeysOrderByIdAtEveryScale) {
+  // Both orderings realize the (key, id) total order when every key ties.
   for (const std::size_t n : {3u, 7u, 64u, 65u, 200u}) {
     JobTable table;
     for (std::size_t i = 0; i < n; ++i) {
@@ -199,10 +183,9 @@ TEST(InstanceViewSimd, AllEqualKeysOrderByIdAtEveryScale) {
   }
 }
 
-TEST(InstanceViewSimd, StatsStableAcrossVectorTailLengths) {
-  // n = 1..8 walks every tail residue the widest vector tier can leave;
-  // stats computed through the dispatched kernels must equal the naive
-  // scalar recomputation at each size.
+TEST(InstanceViewStats, StatsMatchNaiveRecomputationAtEverySize) {
+  // Each derived stat must equal a naive per-row recomputation as the
+  // table grows one row at a time.
   JobTable table;
   for (std::size_t n = 1; n <= 8; ++n) {
     const auto d = static_cast<double>(n);
@@ -229,11 +212,9 @@ TEST(InstanceViewSimd, StatsStableAcrossVectorTailLengths) {
   }
 }
 
-TEST(InstanceViewSimd, NearMaxMagnitudesSaturateAndThrowLikeScalar) {
-  // Near-Time::max() rows: the vectorized total_work must saturate with
-  // the flag set, the checked accessor must throw, and latest_completion
-  // must throw through its checked fallback — exactly the scalar
-  // behaviour the fuzz oracle pins tier against tier.
+TEST(InstanceViewStats, NearMaxMagnitudesSaturateAndThrow) {
+  // Near-Time::max() rows: total_work_saturating must clip with the flag
+  // set, while the checked total_work and latest_completion must throw.
   JobTable table;
   table.push_back(Time::zero(), Time::max() - Time(1), Time(1));
   table.push_back(Time::zero(), Time::max(), Time(1));  // d + p overflows
@@ -248,6 +229,95 @@ TEST(InstanceViewSimd, NearMaxMagnitudesSaturateAndThrowLikeScalar) {
   exact.push_back(Time::zero(), Time::max() - Time(1), Time(1));
   EXPECT_EQ(exact.view().latest_completion(), Time::max());
   EXPECT_EQ(exact.view().total_work(), Time(1));
+}
+
+
+// Unvalidated columns mixing signs, Time::min()/max() neighbours and
+// duplicates; `salt` varies the values between columns.
+std::vector<Time> mixed_column(std::size_t n, std::int64_t salt) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<Time> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto j = static_cast<std::int64_t>(i);
+    switch (i % 7) {
+      case 0: out.emplace_back(j * 977 + salt); break;
+      case 1: out.emplace_back(-(j * 31) - salt); break;
+      case 2: out.emplace_back(kMax - j); break;
+      case 3: out.emplace_back(Time::min().ticks() + j + 1); break;
+      case 4: out.emplace_back(42); break;
+      case 5: out.emplace_back(0); break;
+      default: out.emplace_back((j % 2 == 0 ? 1 : -1) * (kMax / (j + 2)));
+    }
+  }
+  return out;
+}
+
+TEST(InstanceViewStats, MinMaxOverExtremeUnvalidatedColumns) {
+  for (std::size_t n = 1; n <= 33; ++n) {
+    const std::vector<Time> a = mixed_column(n, 3);
+    const std::vector<Time> p = mixed_column(n, 11);
+    const InstanceView v(a, a, p);
+    EXPECT_EQ(v.min_length(), *std::min_element(p.begin(), p.end()))
+        << "n=" << n;
+    EXPECT_EQ(v.max_length(), *std::max_element(p.begin(), p.end()))
+        << "n=" << n;
+    EXPECT_EQ(v.earliest_arrival(), *std::min_element(a.begin(), a.end()))
+        << "n=" << n;
+  }
+}
+
+TEST(InstanceViewStats, TotalWorkExactAtMaxAndClippedJustPast) {
+  const Time max = Time::max();
+  const Time eighth(max.ticks() / 8);
+  const Time half(max.ticks() / 2);
+  struct Case {
+    std::vector<Time> lengths;
+    bool clips;
+  };
+  const std::vector<Case> cases = {
+      {{max}, false},
+      {{max - Time(5), Time(5)}, false},
+      {{max, Time(1)}, true},
+      {{Time(1), max}, true},
+      {{half, half, Time(3)}, true},
+      {std::vector<Time>(8, eighth), false},
+      {std::vector<Time>(9, eighth), true},
+  };
+  for (const Case& c : cases) {
+    const InstanceView v(c.lengths, c.lengths, c.lengths);
+    bool overflowed = !c.clips;
+    const Time total = v.total_work_saturating(&overflowed);
+    EXPECT_EQ(overflowed, c.clips) << v.to_string();
+    if (c.clips) {
+      EXPECT_EQ(total, Time::max());
+      EXPECT_THROW(v.total_work(), AssertionError);
+    } else {
+      EXPECT_EQ(total, v.total_work());
+    }
+  }
+}
+
+TEST(InstanceViewStats, LatestCompletionThrowsOnNegativeOverflow) {
+  const std::vector<Time> d = {Time::min(), Time::zero()};
+  const std::vector<Time> p = {Time(-1), Time::zero()};
+  EXPECT_THROW(InstanceView(d, d, p).latest_completion(), AssertionError);
+}
+
+TEST(InstanceViewStats, DuplicatedSignedKeysOrderByKeyThenId) {
+  // Heavy duplication, negative keys and both extremes, well past 64 rows.
+  std::vector<Time> keys;
+  for (std::int64_t j = 0; j < 100; ++j) {
+    keys.emplace_back((j * 2654435761LL) % 17 - 8);
+  }
+  keys[3] = Time::max();
+  keys[97] = Time::min();
+  std::vector<JobId> expect(keys.size());
+  std::iota(expect.begin(), expect.end(), JobId{0});
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&keys](JobId x, JobId y) { return keys[x] < keys[y]; });
+  const std::vector<Time> ones(keys.size(), Time(1));
+  EXPECT_EQ(InstanceView(keys, ones, ones).ids_by_arrival(), expect);
+  EXPECT_EQ(InstanceView(ones, keys, ones).ids_by_deadline(), expect);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/registry.h"
@@ -121,6 +122,22 @@ TEST(Json, ParseDumpRoundTrip) {
   EXPECT_EQ(JsonValue::parse(doc.dump()), doc);
   EXPECT_EQ(JsonValue::parse(doc.dump(0)), doc);
   EXPECT_THROW(JsonValue::parse("{\"unterminated\": "), AssertionError);
+}
+
+TEST(Json, IntegralNumbersPrintPlainAndRoundTrip) {
+  const std::vector<std::pair<double, std::string>> cases = {
+      {0.0, "0"},
+      {10.0, "10"},
+      {2780.0, "2780"},
+      {-7.0, "-7"},
+      {9007199254740992.0, "9007199254740992"},  // 2^53
+      {0.1, "0.1"},
+  };
+  for (const auto& [value, text] : cases) {
+    const JsonValue number = JsonValue::number(value);
+    EXPECT_EQ(number.dump(0), text);
+    EXPECT_EQ(JsonValue::parse(number.dump(0)).as_number(), value) << text;
+  }
 }
 
 RunReport sample_report() {

@@ -107,14 +107,13 @@ TEST(FuzzGenerator, EveryInstanceValidAndEdgeCasesCovered) {
 TEST(FuzzOracles, StandardBatteryNamesAndCleanCorpus) {
   const std::vector<Oracle> oracles = standard_oracles();
   const std::size_t n_schedulers = scheduler_registry().size();
-  ASSERT_EQ(oracles.size(), 2 * n_schedulers + 5);
+  ASSERT_EQ(oracles.size(), 2 * n_schedulers + 4);
   EXPECT_EQ(oracles.front().name, "sched:eager");
   EXPECT_EQ(oracles[n_schedulers].name, "ckpt:eager");
-  EXPECT_EQ(oracles[oracles.size() - 5].name, "ratio-bounds");
-  EXPECT_EQ(oracles[oracles.size() - 4].name, "offline-sandwich");
-  EXPECT_EQ(oracles[oracles.size() - 3].name, "exact-vs-reference");
-  EXPECT_EQ(oracles[oracles.size() - 2].name, "view-vs-owned");
-  EXPECT_EQ(oracles.back().name, "simd-vs-scalar");
+  EXPECT_EQ(oracles[oracles.size() - 4].name, "ratio-bounds");
+  EXPECT_EQ(oracles[oracles.size() - 3].name, "offline-sandwich");
+  EXPECT_EQ(oracles[oracles.size() - 2].name, "exact-vs-reference");
+  EXPECT_EQ(oracles.back().name, "view-vs-owned");
 
   const FuzzGenConfig config;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {

@@ -9,7 +9,6 @@
 
 #include "helpers.h"
 #include "support/assert.h"
-#include "support/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
 
@@ -146,25 +145,9 @@ TEST(Exact, SolvesFourteenJobsWithinDefaultBudget) {
   }
 }
 
-TEST(Exact, ParallelRootSplitMatchesSerialSpan) {
-  ThreadPool pool(4);
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const Instance inst = testing::random_integral_instance(
-        seed, /*jobs=*/10, /*horizon=*/12, /*max_laxity=*/5, /*max_length=*/4);
-    ExactOptions par;
-    par.pool = &pool;
-    const ExactResult parallel = exact_optimal(inst, par);
-    const ExactResult serial = exact_optimal(inst);
-    ASSERT_TRUE(parallel.optimal());
-    EXPECT_EQ(parallel.span, serial.span) << inst.to_string();
-    parallel.schedule.validate(inst);
-    EXPECT_EQ(parallel.schedule.span(inst), parallel.span);
-  }
-}
-
 // Golden pin: the optimal span and an FNV-1a digest of the witness starts
 // on a fixed corpus. The witness is whichever optimal schedule the search
-// meets first, so any change to move ordering, pruning or reconstruction
+// meets first, so any change to move ordering, pruning or witness recording
 // shows up here rather than as silently different E12/E14/E16 artifacts.
 struct GoldenRow {
   std::string name;
@@ -207,37 +190,6 @@ GoldenRow fold_block(std::string name, const std::vector<Instance>& block,
     span_sum += fold_solve(h, instance, options);
   }
   return GoldenRow{std::move(name), span_sum, h};
-}
-
-/// Number of root branches of the integral fast path (starts of the
-/// most-constrained job: least laxity, then longest, then lowest id) whose
-/// subtree reaches the instance's optimum.
-std::size_t optimal_root_branches(const Instance& instance) {
-  JobId root = 0;
-  for (JobId j = 1; j < instance.size(); ++j) {
-    const Job a = instance.job(j);
-    const Job b = instance.job(root);
-    if (a.laxity() < b.laxity() ||
-        (a.laxity() == b.laxity() && a.length > b.length)) {
-      root = j;
-    }
-  }
-  const Time opt = exact_optimal_span(instance);
-  const Job pinned = instance.job(root);
-  std::size_t count = 0;
-  for (Time s = pinned.arrival; s <= pinned.deadline; s += units(1.0)) {
-    std::vector<Job> jobs;
-    for (JobId j = 0; j < instance.size(); ++j) {
-      Job job = instance.job(j);
-      if (j == root) {
-        job.arrival = s;
-        job.deadline = s;
-      }
-      jobs.push_back(job);
-    }
-    count += exact_optimal_span(Instance(std::move(jobs))) == opt ? 1u : 0u;
-  }
-  return count;
 }
 
 std::vector<GoldenRow> compute_golden_rows() {
@@ -286,21 +238,6 @@ std::vector<GoldenRow> compute_golden_rows() {
     rows.push_back(
         fold_block("random-unseeded/" + std::to_string(b), block, unseeded));
   }
-  // Root-parallel split. With a real pool the reduction keeps the first
-  // root branch that came back exact, which can depend on worker timing
-  // when several branches reach the optimum; these instances have exactly
-  // one optimal root branch (checked below), so their witnesses are fixed.
-  std::vector<Instance> split;
-  for (const std::uint64_t seed : {120u, 208u, 247u}) {
-    split.push_back(testing::random_integral_instance(
-        seed, /*jobs=*/12, /*horizon=*/16, /*max_laxity=*/6,
-        /*max_length=*/5));
-    EXPECT_EQ(optimal_root_branches(split.back()), 1u) << seed;
-  }
-  ThreadPool pool(4);
-  ExactOptions parallel;
-  parallel.pool = &pool;
-  rows.push_back(fold_block("pool/12", split, parallel));
   return rows;
 }
 
@@ -329,7 +266,6 @@ const std::vector<GoldenRow> kExpected = {
     {"random/3", 306000000, 0xacc2688e7c19d56bULL},
     {"random-general/3", 306000000, 0xe103948e51eab339ULL},
     {"random-unseeded/3", 306000000, 0x2138b7b9bcfda819ULL},
-    {"pool/12", 38000000, 0xd6a195ff35c17f55ULL},
 };
 
 TEST(ExactGolden, SpansAndWitnessesMatchPinnedCorpus) {

@@ -52,7 +52,7 @@ TEST(StringUtil, StartsWith) {
   EXPECT_FALSE(starts_with("bat", "batch"));
 }
 
-TEST(Table, RendersAlignedColumns) {
+TEST(Table, AlignsColumns) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1.5"});
   t.add_row({"b", "22"});
