@@ -94,20 +94,21 @@ rm -rf results/tsan-smoke
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/experiments/fjs_experiments --smoke --skip e9 \
   --out results --run-id tsan-smoke --quiet 2>&1 | tee -a test_output.txt
-# The checkpoint-replay differential (the ckpt:* oracles in the standard
-# battery) under TSan as well: resume_static moves arena-backed engine
-# state through the shared workspace pool, so an ordering bug there shows
-# up here rather than in the deterministic unit tests. (The plain and
-# ASan+UBSan fuzz smokes above already run the same battery.)
+# The fuzz battery under TSan as well: every oracle replays through
+# PortfolioRunner, whose engine workspaces come from the per-thread
+# workspace pool, so a lease or recycling bug under threads shows up here
+# rather than in the deterministic unit tests. (The plain and ASan+UBSan
+# fuzz smokes above already run the same battery.)
 cmake --build build-tsan --target fjs_fuzz
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/fuzz/fjs_fuzz --smoke 2>&1 | tee -a test_output.txt
 
 # Allocation gate: a -DFJS_COUNT_ALLOCS=ON build counts every operator
-# new. The portfolio tests assert the span-only kernel reaches a
-# zero-allocation steady state, and the E9 smoke re-emits the
-# allocs_per_sim counter so bench_compare's --allocs column warns
-# (non-fatally) if a change re-introduces per-simulation allocations.
+# new. The portfolio tests assert the span-only kernel, and the miner's
+# mutate-and-replay loop through it, reach a zero-allocation steady
+# state, and the E9 smoke re-emits the allocs_per_sim counter so
+# bench_compare's --allocs column warns (non-fatally) if a change
+# re-introduces per-simulation allocations.
 cmake -B build-allocs -G Ninja -DFJS_COUNT_ALLOCS=ON > /dev/null
 cmake --build build-allocs --target test_sim_portfolio fjs_experiments
 ctest --test-dir build-allocs --output-on-failure -R 'test_sim_portfolio' \
@@ -132,30 +133,6 @@ fi
 echo "planted tie-break bug caught and shrunk, as expected:" \
   | tee -a test_output.txt
 head -8 planted_output.txt | tee -a test_output.txt
-
-# Planted-checkpoint-bug drill: -DFJS_PLANTED_CHECKPOINT_BUG=ON drops one
-# word from the batch+ scheduler snapshot, so a resumed run silently
-# diverges from the uninterrupted one. The checkpoint-replay differential
-# oracle (ckpt:*) MUST catch the divergence — in the plain build and under
-# both sanitizer configs, so the drill does not hinge on one codegen.
-for planted in \
-    "build-planted-ckpt:" \
-    "build-planted-ckpt-asan:-DFJS_SANITIZE=address,undefined" \
-    "build-planted-ckpt-tsan:-DFJS_SANITIZE=thread"; do
-  dir="${planted%%:*}"
-  extra="${planted#*:}"
-  cmake -B "$dir" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFJS_PLANTED_CHECKPOINT_BUG=ON ${extra} > /dev/null
-  cmake --build "$dir" --target fjs_fuzz
-  if "$dir"/src/fuzz/fjs_fuzz --smoke > planted_ckpt_output.txt 2>&1; then
-    echo "ERROR: planted checkpoint bug was NOT caught by the fuzzer ($dir)" \
-      | tee -a test_output.txt
-    exit 1
-  fi
-  echo "planted checkpoint bug caught ($dir), as expected:" \
-    | tee -a test_output.txt
-  head -4 planted_ckpt_output.txt | tee -a test_output.txt
-done
 
 # Trace-export smoke: one experiment with --trace, then validate the
 # Chrome-tracing JSON (chrome://tracing / ui.perfetto.dev format) and the

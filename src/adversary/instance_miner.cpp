@@ -68,16 +68,11 @@ struct Candidate {
 
 /// One unit-grained tweak of a random job's arrival, laxity or length,
 /// recorded as a patch (the parent table is not touched).
-/// `earliest_affected` receives the earliest event time the tweak can
-/// influence: the mutated job is invisible to the run before it arrives in
-/// EITHER version, so min(old arrival, new arrival) bounds every affected
-/// event (deadline/length changes are observed no earlier than arrival).
-Candidate mutate(const JobTable& parent, Rng& rng, const MinerOptions& options,
-                 Time* earliest_affected) {
+Candidate mutate(const JobTable& parent, Rng& rng,
+                 const MinerOptions& options) {
   const auto victim = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(parent.size()) - 1));
   Job j = parent.job(static_cast<JobId>(victim));
-  const Time old_arrival = j.arrival;
   const Time unit(Time::kTicksPerUnit);
   switch (rng.uniform_int(0, 3)) {
     case 0: {  // move arrival (preserving laxity)
@@ -120,9 +115,6 @@ Candidate mutate(const JobTable& parent, Rng& rng, const MinerOptions& options,
       j.length = Time::from_units(p);
       break;
     }
-  }
-  if (earliest_affected != nullptr) {
-    *earliest_affected = std::min(old_arrival, j.arrival);
   }
   Candidate c;
   c.victim = static_cast<JobId>(victim);
@@ -168,9 +160,7 @@ void fill_memo_key(const JobTable& parent, const Candidate& c, MemoKey& key) {
   }
 }
 
-using HintedObjective =
-    std::function<double(InstanceView, double threshold,
-                         Time earliest_affected)>;
+using ViewObjective = std::function<double(InstanceView, double threshold)>;
 
 /// Monotone batch stamp: each evaluate() call gets a globally unique epoch
 /// so a worker's thread-local scratch table knows when to resync with the
@@ -181,9 +171,7 @@ std::atomic<std::uint64_t> g_scratch_epoch{0};
 /// through parallel_map when a pool is attached, and hands values back in
 /// proposal order. Deterministic for any thread count because candidate
 /// order is fixed before evaluation, the threshold is frozen per batch,
-/// and the objective is deterministic. `hints[i]` is candidate i's
-/// earliest-affected-event annotation (Time::max() = none); it rides along
-/// to the objective and may not change any value.
+/// and the objective is deterministic.
 ///
 /// Patch candidates are served from a per-thread scratch JobTable: copied
 /// from the parent once per (thread, batch), then mutate → evaluate over
@@ -191,16 +179,13 @@ std::atomic<std::uint64_t> g_scratch_epoch{0};
 /// no Instance is ever materialized for a rejected candidate.
 class BatchEvaluator {
  public:
-  BatchEvaluator(const HintedObjective& objective,
+  BatchEvaluator(const ViewObjective& objective,
                  const MinerOptions& options)
       : objective_(objective), options_(options) {}
 
   std::vector<double> evaluate(const JobTable& parent,
                                const std::vector<Candidate>& batch,
-                               const std::vector<Time>& hints,
                                double threshold) {
-    FJS_REQUIRE(hints.size() == batch.size(),
-                "miner: one hint per candidate");
     epoch_ = g_scratch_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
     std::vector<std::size_t> misses;  // first occurrence of each unknown key
     misses.reserve(batch.size());
@@ -238,14 +223,13 @@ class BatchEvaluator {
       fresh = parallel_map(
           *options_.pool, eval_list.size(),
           [&, threshold](std::size_t m) {
-            return eval_one(parent, batch[eval_list[m]], threshold,
-                            hints[eval_list[m]]);
+            return eval_one(parent, batch[eval_list[m]], threshold);
           },
           ChunkPolicy::kDynamic);
     } else {
       fresh.reserve(eval_list.size());
       for (const std::size_t m : eval_list) {
-        fresh.push_back(eval_one(parent, batch[m], threshold, hints[m]));
+        fresh.push_back(eval_one(parent, batch[m], threshold));
       }
     }
     if (!options_.use_objective_memo) {
@@ -346,9 +330,9 @@ class BatchEvaluator {
   }
 
   double eval_one(const JobTable& parent, const Candidate& c,
-                  double threshold, Time hint) const {
+                  double threshold) const {
     if (c.is_seed) {
-      return objective_(c.table.view(), threshold, hint);
+      return objective_(c.table.view(), threshold);
     }
     // Scratch resyncs on the first patch of each batch this thread sees
     // (column assignment reuses capacity: no allocation at steady state).
@@ -363,12 +347,12 @@ class BatchEvaluator {
     }
     const JobTable::Undo undo = scratch.table.undo_record(c.victim);
     scratch.table.set(c.victim, c.arrival, c.deadline, c.length);
-    const double value = objective_(scratch.table.view(), threshold, hint);
+    const double value = objective_(scratch.table.view(), threshold);
     scratch.table.restore(undo);
     return value;
   }
 
-  const HintedObjective& objective_;
+  const ViewObjective& objective_;
   const MinerOptions& options_;
   std::uint64_t epoch_ = 0;
   std::unordered_map<MemoKey, double, MemoKeyHash> memo_;
@@ -393,29 +377,17 @@ MinerResult mine_instance(
 MinerResult mine_instance(
     const std::function<double(const Instance&, double)>& objective,
     MinerOptions options) {
-  return mine_instance(
-      [&objective](const Instance& instance, double threshold, Time) {
-        return objective(instance, threshold);
-      },
-      std::move(options));
-}
-
-MinerResult mine_instance(
-    const std::function<double(const Instance&, double, Time)>& objective,
-    MinerOptions options) {
   // Compatibility bridge: materialize an owning Instance per fresh
   // evaluation. Objectives on the hot path take InstanceView instead.
   return mine_instance(
-      HintedObjective([&objective](InstanceView view, double threshold,
-                                   Time earliest_affected) {
-        return objective(Instance(JobTable(view)), threshold,
-                         earliest_affected);
+      ViewObjective([&objective](InstanceView view, double threshold) {
+        return objective(Instance(JobTable(view)), threshold);
       }),
       std::move(options));
 }
 
 MinerResult mine_instance(
-    const std::function<double(InstanceView, double, Time)>& objective,
+    const std::function<double(InstanceView, double)>& objective,
     MinerOptions options) {
   FJS_REQUIRE(options.population >= 1, "miner: population must be >= 1");
   FJS_REQUIRE(options.jobs >= 1, "miner: jobs must be >= 1");
@@ -435,8 +407,6 @@ MinerResult mine_instance(
   JobTable parent;
   std::vector<Candidate> batch;
   batch.reserve(std::max(options.population, options.mutations_per_round));
-  std::vector<Time> hints;  // earliest-affected annotation per candidate
-  hints.reserve(batch.capacity());
 
   auto adopt = [&parent](Candidate& c) {
     if (c.is_seed) {
@@ -464,7 +434,6 @@ MinerResult mine_instance(
   for (std::size_t seeded = 0; seeded < options.population;
        seeded += kSeedChunk) {
     batch.clear();
-    hints.clear();
     const std::size_t count =
         std::min(kSeedChunk, options.population - seeded);
     for (std::size_t i = 0; i < count; ++i) {
@@ -472,10 +441,8 @@ MinerResult mine_instance(
       c.is_seed = true;
       random_table(rng, options, c.table);
       batch.push_back(std::move(c));
-      hints.push_back(Time::max());  // seeds share no parent: no hint
     }
-    values = evaluator.evaluate(parent, batch, hints,
-                                have_best ? best_ratio : 0.0);
+    values = evaluator.evaluate(parent, batch, have_best ? best_ratio : 0.0);
     result.evaluations += batch.size();
     // Deferred adoption of the running strict max — the surviving index is
     // the first occurrence of the sub-batch max, exactly what adopting
@@ -497,17 +464,14 @@ MinerResult mine_instance(
   // Hill climbing.
   for (std::size_t round = 0; round < options.rounds; ++round) {
     batch.clear();
-    hints.clear();
     for (std::size_t m = 0; m < options.mutations_per_round; ++m) {
-      Time earliest_affected = Time::max();
-      batch.push_back(mutate(parent, rng, options, &earliest_affected));
-      hints.push_back(earliest_affected);
+      batch.push_back(mutate(parent, rng, options));
     }
     // Freeze the threshold at the incumbent before the batch: a candidate
     // that cannot beat it may be settled cheaply (see header contract),
     // and the threshold only ever grows, which keeps memoized settled
     // values unselectable in every later round.
-    values = evaluator.evaluate(parent, batch, hints, best_ratio);
+    values = evaluator.evaluate(parent, batch, best_ratio);
     result.evaluations += batch.size();
     std::size_t pick = batch.size();
     double round_ratio = best_ratio;
@@ -541,16 +505,9 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
   // objective), so opt in here.
   options.screen_lb_precut = true;
   auto budget_skips = std::make_shared<std::atomic<std::size_t>>(0);
-  struct PrefixCounters {
-    std::atomic<std::size_t> hits{0};
-    std::atomic<std::size_t> misses{0};
-    std::atomic<std::size_t> arrivals_skipped{0};
-  };
-  auto prefix = std::make_shared<PrefixCounters>();
   MinerResult result = mine_instance(
-      HintedObjective([&scheduler_key, clairvoyant, budget_skips, prefix](
-                          InstanceView view, double threshold,
-                          Time earliest_affected) {
+      ViewObjective([&scheduler_key, clairvoyant, budget_skips](
+                        InstanceView view, double threshold) {
         // Per-thread replay state: the portfolio runner amortizes engine
         // setup across candidates, and the scheduler object is rebuilt
         // only when the mined key changes on this thread.
@@ -562,26 +519,8 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
           scheduler = make_scheduler(scheduler_key);
           scheduler_key_cache = scheduler_key;
         }
-        // Checkpointed prefix replay: candidates are single-job mutations
-        // of a shared parent, so consecutive replays on a thread share a
-        // long timeline prefix. The replay is static (preloaded timeline,
-        // NoDeferralOracle) in BOTH models, so the non-clairvoyant opt-in
-        // is sound here; spans are bit-identical to full replay either
-        // way, which the miner determinism tests pin down.
-        runner.enable_prefix_replay(EngineCheckpointSeries::kDefaultSlots,
-                                    /*include_nonclairvoyant=*/true);
-        const PrefixReplayStats before = runner.prefix_stats();
         const Time span = runner.run_span(
-            view, PortfolioEntry{scheduler.get(), clairvoyant}, &starts,
-            earliest_affected);
-        const PrefixReplayStats& after = runner.prefix_stats();
-        prefix->hits.fetch_add(after.hits - before.hits,
-                               std::memory_order_relaxed);
-        prefix->misses.fetch_add(after.misses - before.misses,
-                                 std::memory_order_relaxed);
-        prefix->arrivals_skipped.fetch_add(
-            after.arrivals_skipped - before.arrivals_skipped,
-            std::memory_order_relaxed);
+            view, PortfolioEntry{scheduler.get(), clairvoyant}, &starts);
         // Pre-certification cut: span/lower_bound upper-bounds the true
         // ratio. When even that cannot beat the incumbent, settle the
         // candidate without certifying OPT — the dominant cost here by far
@@ -645,10 +584,6 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
       }),
       options);
   result.budget_skips = budget_skips->load(std::memory_order_relaxed);
-  result.prefix_hits = prefix->hits.load(std::memory_order_relaxed);
-  result.prefix_misses = prefix->misses.load(std::memory_order_relaxed);
-  result.prefix_arrivals_skipped =
-      prefix->arrivals_skipped.load(std::memory_order_relaxed);
   return result;
 }
 

@@ -78,21 +78,6 @@ struct MinerResult {
   /// no certification; see MinerOptions::screen_lb_precut). Objective
   /// calls are evaluations - memo_hits - screen_rejects.
   std::size_t screen_rejects = 0;
-  /// mine_worst_case only: checkpointed prefix-replay cache counters for
-  /// the online-simulation half of the objective (see PrefixReplayStats).
-  /// Aggregated over all worker threads; the replayed spans are
-  /// bit-identical with the cache on or off, so these are diagnostics, not
-  /// inputs to the search.
-  std::size_t prefix_hits = 0;
-  std::size_t prefix_misses = 0;
-  std::size_t prefix_arrivals_skipped = 0;
-
-  /// Mean staged-arrival depth of restored checkpoints (0 when no hit).
-  double mean_prefix_depth() const {
-    return prefix_hits == 0 ? 0.0
-                            : static_cast<double>(prefix_arrivals_skipped) /
-                                  static_cast<double>(prefix_hits);
-  }
 };
 
 /// Mines a worst case for the scheduler registry key (clairvoyance is
@@ -125,29 +110,18 @@ MinerResult mine_instance(
     const std::function<double(const Instance&, double threshold)>& objective,
     MinerOptions options = {});
 
-/// Hint-aware form: like the threshold-aware overload, but the miner also
-/// annotates each candidate with the earliest event time its mutation can
-/// influence (Time::max() for seeds and re-rolled jobs, min(old arrival,
-/// new arrival) of the mutated job otherwise). Objectives that replay the
-/// candidate through a prefix-replay PortfolioRunner forward the hint so
-/// the deepest valid checkpoint is selected automatically; the hint never
-/// changes any value (it only bounds which prefix may be skipped).
+/// Columnar core all overloads funnel into: like the threshold-aware form,
+/// but the objective reads the candidate through a non-owning InstanceView
+/// over the miner's mutation scratch table — no Instance is materialized
+/// for rejected candidates (the miner applies each single-row patch in
+/// place with an undo record and keeps the incumbent as a bare JobTable;
+/// the one owning Instance is built for the final result). The
+/// Instance-objective overloads above bridge by materializing per fresh
+/// evaluation; hot objectives (mine_worst_case's certification loop) use
+/// this form directly.
 MinerResult mine_instance(
-    const std::function<double(const Instance&, double threshold,
-                               Time earliest_affected)>& objective,
-    MinerOptions options = {});
-
-/// Columnar core all overloads funnel into: the objective reads the
-/// candidate through a non-owning InstanceView over the miner's mutation
-/// scratch table — no Instance is materialized for rejected candidates
-/// (the miner applies each single-row patch in place with an undo record
-/// and keeps the incumbent as a bare JobTable; the one owning Instance is
-/// built for the final result). The Instance-objective overloads above
-/// bridge by materializing per fresh evaluation; hot objectives
-/// (mine_worst_case's certification loop) use this form directly.
-MinerResult mine_instance(
-    const std::function<double(InstanceView view, double threshold,
-                               Time earliest_affected)>& objective,
+    const std::function<double(InstanceView view, double threshold)>&
+        objective,
     MinerOptions options = {});
 
 }  // namespace fjs

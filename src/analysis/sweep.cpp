@@ -70,12 +70,6 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
   std::vector<Time> spans(grid);
   auto run_case = [&](std::size_t c) {
     thread_local PortfolioRunner runner;
-    // Consecutive cases on a worker often share a timeline prefix (family
-    // sweeps grow or perturb instances gradually); checkpointed prefix
-    // replay then resumes mid-timeline instead of replaying from scratch.
-    // Clairvoyant-only (the conservative default) and bit-identical to the
-    // full replay, so the sweep CSVs are unchanged.
-    runner.enable_prefix_replay();
     thread_local std::unordered_map<std::string,
                                     std::unique_ptr<OnlineScheduler>>
         scheduler_cache;

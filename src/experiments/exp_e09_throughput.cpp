@@ -184,54 +184,6 @@ void miner_legacy(benchmark::State& state) {
   state.SetLabel("candidate evaluations");
 }
 
-// The incremental-simulation half of the miner's objective in isolation:
-// single-job arrival mutations of a 1000-job timeline replayed through one
-// warm prefix-replay PortfolioRunner, hint forwarded exactly as the miner
-// does. BM_Miner measures the full mining stack (where exact certification
-// dominates at 10 jobs); this curve tracks the checkpointed-replay
-// subsystem itself, so a prefix-cache regression is visible even when the
-// solver's noise hides it end to end.
-void miner_incremental(benchmark::State& state) {
-  const Instance base = bench_instance(1'000, 13);
-  // The miner's real substrate: a mutation scratch table replayed through
-  // the view path — no Instance is materialized per candidate.
-  JobTable table{base.view()};
-  const auto scheduler = make_scheduler("batch+");
-  const PortfolioEntry entry{scheduler.get(),
-                             scheduler->requires_clairvoyance()};
-  PortfolioRunner runner;
-  // Same opt-in as the miner: replays are static (preloaded timeline,
-  // NoDeferralOracle), so the cache is sound for batch+'s non-clairvoyant
-  // model too.
-  runner.enable_prefix_replay(EngineCheckpointSeries::kDefaultSlots,
-                              /*include_nonclairvoyant=*/true);
-  Rng rng(29);
-  runner.run_span(table.view(), entry);  // seed the checkpoint lineage
-  const std::int64_t unit = Time::kTicksPerUnit;
-  std::size_t sims = 0;
-  for (auto _ : state) {
-    const auto victim = static_cast<JobId>(
-        rng.uniform_int(0, static_cast<std::int64_t>(table.size()) - 1));
-    const Job job = table.job(victim);
-    const Time old_arrival = job.arrival;
-    const std::int64_t jitter = rng.uniform_int(-unit, unit);
-    const Time arrival(
-        std::max<std::int64_t>(0, job.arrival.ticks() + jitter));
-    table.set(victim, arrival, std::max(job.deadline, arrival), job.length);
-    const Time hint = std::min(old_arrival, arrival);
-    benchmark::DoNotOptimize(
-        runner.run_span(table.view(), entry, nullptr, hint));
-    ++sims;
-  }
-  const PrefixReplayStats stats = runner.prefix_stats();
-  state.SetItemsProcessed(static_cast<std::int64_t>(sims));
-  state.counters["arrivals_skipped_per_sim"] = benchmark::Counter(
-      static_cast<double>(stats.arrivals_skipped) /
-      static_cast<double>(sims > 0 ? sims : 1));
-  state.SetLabel("mutated replays; " + std::to_string(stats.hits) + " hits / " +
-                 std::to_string(stats.misses) + " misses");
-}
-
 // Columnar lowering in isolation: one warm PreparedInstance re-lowering
 // the same 1000-job view every iteration — the per-candidate fixed cost
 // of every shared-timeline replay (arrival sort fast path + record build,
@@ -521,9 +473,6 @@ void register_benchmarks(bool smoke) {
         ->Repetitions(3)->ReportAggregatesOnly(true);
     benchmark::RegisterBenchmark("BM_MinerLegacy", miner_legacy)
         ->Unit(benchmark::kMillisecond)
-        ->Repetitions(3)->ReportAggregatesOnly(true);
-    benchmark::RegisterBenchmark("BM_MinerIncremental", miner_incremental)
-        ->Unit(benchmark::kMicrosecond)
         ->Repetitions(3)->ReportAggregatesOnly(true);
     benchmark::RegisterBenchmark("BM_PrepareView", prepare_view)
         ->Unit(benchmark::kMicrosecond);

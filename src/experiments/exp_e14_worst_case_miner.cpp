@@ -81,18 +81,6 @@ class E14Experiment final : public Experiment {
                      targets[i].bound_label,
                      std::to_string(results[i].evaluations),
                      std::to_string(results[i].memo_hits)});
-      // Prefix replay keeps one checkpoint cache per pool thread, so its
-      // hit/miss split depends on how candidates land on threads: manifest
-      // diagnostics, not CSV columns. Replayed spans are bit-identical
-      // with the cache on or off, so these never influence a verdict.
-      const std::string key = targets[i].key;
-      result.diagnostics.emplace_back(
-          "prefix_hits." + key, static_cast<double>(results[i].prefix_hits));
-      result.diagnostics.emplace_back(
-          "prefix_misses." + key,
-          static_cast<double>(results[i].prefix_misses));
-      result.diagnostics.emplace_back("mean_prefix_depth." + key,
-                                      results[i].mean_prefix_depth());
       result.verdicts.push_back(Verdict::at_least(
           "mined ratio certified " + std::string(targets[i].key),
           results[i].worst_ratio, 1.0,

@@ -286,8 +286,7 @@ JsonValue manifest_json(const RunReport& report) {
                JsonValue::string(utc_timestamp("%Y-%m-%dT%H:%M:%SZ")));
   manifest.set("profile",
                JsonValue::string(report.smoke ? "smoke" : "full"));
-  manifest.set("base_seed",
-               JsonValue::number(static_cast<double>(report.base_seed)));
+  manifest.set("base_seed", JsonValue::unsigned_integer(report.base_seed));
   manifest.set("jobs", JsonValue::number(static_cast<double>(report.jobs)));
   manifest.set(
       "hardware_concurrency",
@@ -321,8 +320,7 @@ JsonValue manifest_json(const RunReport& report) {
     entry.set("name", JsonValue::string(record.name));
     entry.set("title", JsonValue::string(record.title));
     entry.set("paper_ref", JsonValue::string(record.paper_ref));
-    entry.set("seed",
-              JsonValue::number(static_cast<double>(record.seed)));
+    entry.set("seed", JsonValue::unsigned_integer(record.seed));
     entry.set("wall_ms", JsonValue::number(record.wall_ms));
     JsonValue diagnostics = JsonValue::object();
     for (const auto& [key, value] : record.diagnostics) {
@@ -350,8 +348,7 @@ JsonValue verdicts_json(const RunReport& report) {
   JsonValue root = JsonValue::object();
   root.set("schema", JsonValue::string("fjs-experiments-verdicts/1"));
   root.set("profile", JsonValue::string(report.smoke ? "smoke" : "full"));
-  root.set("base_seed",
-           JsonValue::number(static_cast<double>(report.base_seed)));
+  root.set("base_seed", JsonValue::unsigned_integer(report.base_seed));
   root.set("all_passed", JsonValue::boolean(report.all_passed()));
   JsonValue experiments = JsonValue::array();
   for (const auto& record : report.records) {

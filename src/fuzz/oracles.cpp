@@ -16,9 +16,7 @@
 #include "offline/lower_bound.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
-#include "sim/length_oracle.h"
 #include "sim/portfolio.h"
-#include "sim/source.h"
 #include "sim/trace_check.h"
 #include "support/assert.h"
 
@@ -77,13 +75,6 @@ std::optional<std::string> check_simulation(const Instance& instance,
   return std::nullopt;
 }
 
-/// The engine is driven purely from preloaded/restored state in the
-/// checkpoint oracle; the source must release nothing.
-class NullSource final : public JobSource {
- public:
-  SourceAction begin() override { return {}; }
-};
-
 }  // namespace
 
 /// One oracle per registered scheduler. Clairvoyance-requiring schedulers
@@ -115,114 +106,6 @@ Oracle scheduler_oracle(const SchedulerSpec& spec) {
                    " non-clairvoyantly but " +
                    revealed.schedule.start(id).to_string() +
                    " clairvoyantly";
-          }
-        }
-        return std::nullopt;
-      }};
-}
-
-/// Checkpointed prefix replay must be invisible: a run resumed from any
-/// checkpoint is required to finish exactly like the uninterrupted run.
-/// The oracle captures a checkpoint at EVERY staged-arrival index of the
-/// full run, then resumes each one on a fresh engine + fresh scheduler
-/// (exercising save_state/load_state across object identities, the way
-/// the portfolio cache uses them) and compares span, every start, and the
-/// trace suffix tick-for-tick.
-Oracle checkpoint_replay_oracle(const SchedulerSpec& spec,
-                                const OracleOptions& options) {
-  return Oracle{
-      "ckpt:" + spec.key,
-      [spec, options](const Instance& instance) -> std::optional<std::string> {
-        if (instance.empty() ||
-            instance.size() > options.checkpoint_max_jobs) {
-          return std::nullopt;
-        }
-        PreparedInstance prepared;
-        try {
-          prepared.prepare(instance);
-        } catch (const std::exception& e) {
-          return std::string("prepare threw: ") + e.what();
-        }
-        const std::size_t n = prepared.size();
-        for (const bool clairvoyant : {true, false}) {
-          if (!clairvoyant && spec.clairvoyant) {
-            continue;
-          }
-          const char* model = clairvoyant ? "[cv] " : "[nc] ";
-          const EngineOptions engine_options{.clairvoyant = clairvoyant,
-                                             .record_trace = true,
-                                             .reserve_jobs = n};
-          // Full run, capturing a checkpoint before every staged arrival.
-          const auto scheduler = spec.make();
-          EngineCheckpointSeries series;
-          series.plan(n, n);
-          series.arm(0);
-          NullSource source;
-          NoDeferralOracle no_deferral;
-          Engine full(source, no_deferral, *scheduler, engine_options);
-          full.preload_static(prepared.records(), prepared.staged());
-          full.capture_checkpoints(&series);
-          SimulationResult whole;
-          try {
-            whole = full.run();
-          } catch (const std::exception& e) {
-            return model + std::string("full run threw: ") + e.what();
-          }
-          for (std::size_t i = 0; i < series.size(); ++i) {
-            if (!series.slot(i).valid) {
-              continue;
-            }
-            const EngineCheckpoint& ckpt = series.slot(i);
-            const auto resumed_scheduler = spec.make();
-            NullSource resumed_source;
-            NoDeferralOracle resumed_no_deferral;
-            Engine part(resumed_source, resumed_no_deferral,
-                        *resumed_scheduler, engine_options);
-            SimulationResult resumed;
-            try {
-              part.resume_static(ckpt, prepared.records(), prepared.staged());
-              resumed = part.run();
-            } catch (const std::exception& e) {
-              return model + std::string("resume at arrival ") +
-                     std::to_string(series.capture_index(i)) +
-                     " threw: " + e.what();
-            }
-            const std::string where =
-                model + std::string("resume at arrival ") +
-                std::to_string(series.capture_index(i));
-            if (resumed.realized_span != whole.realized_span) {
-              return where + ": span " + resumed.realized_span.to_string() +
-                     " != full-run span " + whole.realized_span.to_string();
-            }
-            for (JobId id = 0; id < whole.instance.size(); ++id) {
-              if (resumed.schedule.start(id) != whole.schedule.start(id)) {
-                return where + ": job " + std::to_string(id) + " starts at " +
-                       resumed.schedule.start(id).to_string() +
-                       " != full-run start " +
-                       whole.schedule.start(id).to_string();
-              }
-            }
-            // The resumed trace holds only post-checkpoint entries; it
-            // must equal the full run's suffix past the capture point.
-            const auto& full_entries = whole.trace.entries();
-            const auto& part_entries = resumed.trace.entries();
-            if (ckpt.trace_len + part_entries.size() != full_entries.size()) {
-              return where + ": trace suffix has " +
-                     std::to_string(part_entries.size()) +
-                     " entries, full run has " +
-                     std::to_string(full_entries.size() - ckpt.trace_len) +
-                     " past the checkpoint";
-            }
-            for (std::size_t t = 0; t < part_entries.size(); ++t) {
-              const TraceEntry& a = part_entries[t];
-              const TraceEntry& b = full_entries[ckpt.trace_len + t];
-              if (a.time != b.time || a.kind != b.kind || a.job != b.job ||
-                  a.detail != b.detail) {
-                return where + ": trace diverges at suffix entry " +
-                       std::to_string(t) + ": " + a.to_string() + " != " +
-                       b.to_string();
-              }
-            }
           }
         }
         return std::nullopt;
@@ -617,9 +500,6 @@ std::vector<Oracle> standard_oracles(const OracleOptions& options) {
   if (options.run_schedulers) {
     for (const auto& spec : scheduler_registry()) {
       oracles.push_back(scheduler_oracle(spec));
-    }
-    for (const auto& spec : scheduler_registry()) {
-      oracles.push_back(checkpoint_replay_oracle(spec, options));
     }
   }
   if (options.run_offline) {

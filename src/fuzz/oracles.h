@@ -10,11 +10,6 @@
 //    recomputation; and a scheduler that does not require clairvoyance
 //    makes the identical decisions whether or not lengths are revealed
 //    (length-oracle consistency).
-//  * ckpt:<key> — checkpointed prefix replay is invisible: resuming the
-//    run from EVERY mid-run checkpoint (one per staged-arrival index, both
-//    clairvoyance models) reproduces the uninterrupted run tick-for-tick —
-//    identical span, identical starts, and a trace suffix equal to the
-//    full run's entries past the capture point.
 //  * ratio-bounds — the certified lower bounds, the descriptive instance
 //    stats and one online span hold together on EVERY instance, including
 //    near-Time::max() magnitudes the offline oracles skip: stats never
@@ -51,11 +46,6 @@ struct OracleOptions {
   bool run_schedulers = true;
   bool run_offline = true;
 
-  /// Checkpoint-replay oracles re-run the simulation once per
-  /// staged-arrival index, so they cap the job count a bit lower than the
-  /// plain scheduler oracles (the work is quadratic in it).
-  std::size_t checkpoint_max_jobs = 16;
-
   std::size_t exact_max_jobs = 9;
   std::size_t exact_max_nodes = 400'000;
   std::size_t reference_max_jobs = 7;
@@ -89,11 +79,6 @@ std::vector<Oracle> standard_oracles(const OracleOptions& options = {});
 /// tests can aim it at deliberately broken schedulers.
 struct SchedulerSpec;
 Oracle scheduler_oracle(const SchedulerSpec& spec);
-
-/// The checkpoint-replay oracle for one spec (named "ckpt:<key>"). Exposed
-/// so tests (and the planted-checkpoint-bug drill) can aim it directly.
-Oracle checkpoint_replay_oracle(const SchedulerSpec& spec,
-                                const OracleOptions& options = {});
 
 /// Runs every oracle; returns all failures (empty = instance clean).
 std::vector<FuzzFailure> run_oracles(const Instance& instance,

@@ -18,18 +18,4 @@ void BatchScheduler::on_deadline(SchedulerContext& ctx, JobId id) {
   }
 }
 
-void BatchScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  for (const JobId id : flag_history_) {
-    out.push_back(id);
-  }
-}
-
-void BatchScheduler::load_state(const std::uint64_t* data, std::size_t n) {
-  flag_history_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    flag_history_.push_back(static_cast<JobId>(data[i]));
-  }
-}
-
 }  // namespace fjs

@@ -17,8 +17,6 @@ class BatchScheduler final : public OnlineScheduler {
   void on_arrival(SchedulerContext& ctx, JobId id) override;
   void on_deadline(SchedulerContext& ctx, JobId id) override;
   void reset() override { flag_history_.clear(); }
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::uint64_t* data, std::size_t n) override;
 
   /// Flag job of each iteration, in order — the analysis objects of
   /// Theorem 3.4's proof. Valid after a run.

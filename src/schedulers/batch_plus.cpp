@@ -40,43 +40,4 @@ void BatchPlusScheduler::reset() {
   flag_history_.clear();
 }
 
-// Layout: [has_flag, flag_value, flag_history...]. batch_scratch_ is
-// overwrite-before-use scratch, not state.
-//
-// FJS_PLANTED_CHECKPOINT_BUG deliberately drops the active-flag field from
-// the snapshot (both halves, so the words stay self-consistent): a resumed
-// run then buffers arrivals that should have started inside the active
-// iteration. The checkpoint differential oracle must catch this — it is
-// the drill that proves the oracle can detect a scheduler whose snapshot
-// forgets one field. Never enable outside that drill.
-void BatchPlusScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-#if !defined(FJS_PLANTED_CHECKPOINT_BUG)
-  out.push_back(flag_.has_value() ? 1 : 0);
-  out.push_back(flag_.has_value() ? *flag_ : 0);
-#else
-  out.push_back(0);
-  out.push_back(0);
-#endif
-  for (const JobId id : flag_history_) {
-    out.push_back(id);
-  }
-}
-
-void BatchPlusScheduler::load_state(const std::uint64_t* data, std::size_t n) {
-  FJS_REQUIRE(n >= 2, "batch+: truncated snapshot");
-#if !defined(FJS_PLANTED_CHECKPOINT_BUG)
-  flag_.reset();
-  if (data[0] != 0) {
-    flag_ = static_cast<JobId>(data[1]);
-  }
-#else
-  flag_.reset();
-#endif
-  flag_history_.clear();
-  for (std::size_t i = 2; i < n; ++i) {
-    flag_history_.push_back(static_cast<JobId>(data[i]));
-  }
-}
-
 }  // namespace fjs

@@ -20,8 +20,6 @@ class BatchPlusScheduler final : public OnlineScheduler {
   void on_deadline(SchedulerContext& ctx, JobId id) override;
   void on_completion(SchedulerContext& ctx, JobId id) override;
   void reset() override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::uint64_t* data, std::size_t n) override;
 
   /// The currently running flag job, if an iteration is active.
   std::optional<JobId> active_flag() const { return flag_; }

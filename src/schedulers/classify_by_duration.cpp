@@ -84,40 +84,4 @@ void CdbScheduler::reset() {
   flag_history_.clear();
 }
 
-// Layout: [n_active, active flags (2 words each), flag_history (2 words
-// each)]. Categories round-trip through two's complement like Times.
-void CdbScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  out.push_back(active_flags_.size());
-  for (const auto& [cat, id] : active_flags_) {
-    out.push_back(static_cast<std::uint64_t>(static_cast<std::int64_t>(cat)));
-    out.push_back(id);
-  }
-  for (const FlagRecord& f : flag_history_) {
-    out.push_back(
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(f.category)));
-    out.push_back(f.id);
-  }
-}
-
-void CdbScheduler::load_state(const std::uint64_t* data, std::size_t n) {
-  FJS_REQUIRE(n >= 1, "cdb: truncated snapshot");
-  const std::size_t n_active = static_cast<std::size_t>(data[0]);
-  FJS_REQUIRE(n >= 1 + 2 * n_active && (n - 1) % 2 == 0,
-              "cdb: malformed snapshot");
-  active_flags_.clear();
-  flag_history_.clear();
-  std::size_t i = 1;
-  for (std::size_t f = 0; f < n_active; ++f, i += 2) {
-    active_flags_.emplace_back(
-        static_cast<long>(static_cast<std::int64_t>(data[i])),
-        static_cast<JobId>(data[i + 1]));
-  }
-  for (; i < n; i += 2) {
-    flag_history_.push_back(
-        FlagRecord{static_cast<long>(static_cast<std::int64_t>(data[i])),
-                   static_cast<JobId>(data[i + 1])});
-  }
-}
-
 }  // namespace fjs

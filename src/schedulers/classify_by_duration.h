@@ -30,8 +30,6 @@ class CdbScheduler final : public OnlineScheduler {
   void on_deadline(SchedulerContext& ctx, JobId id) override;
   void on_completion(SchedulerContext& ctx, JobId id) override;
   void reset() override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::uint64_t* data, std::size_t n) override;
 
   double alpha() const { return alpha_; }
 

@@ -57,23 +57,4 @@ void DoublerScheduler::on_deadline(SchedulerContext& ctx, JobId id) {
 
 void DoublerScheduler::reset() { windows_.clear(); }
 
-// Layout: [windows (2 words each)]. Expired windows are dropped lazily by
-// expire(), so they are real state until then and are captured as-is.
-void DoublerScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  for (const Window& w : windows_) {
-    out.push_back(w.flag);
-    out.push_back(snapshot::pack_time(w.close));
-  }
-}
-
-void DoublerScheduler::load_state(const std::uint64_t* data, std::size_t n) {
-  FJS_REQUIRE(n % 2 == 0, "doubler: malformed snapshot");
-  windows_.clear();
-  for (std::size_t i = 0; i < n; i += 2) {
-    windows_.push_back(Window{.flag = static_cast<JobId>(data[i]),
-                              .close = snapshot::unpack_time(data[i + 1])});
-  }
-}
-
 }  // namespace fjs

@@ -95,26 +95,4 @@ void OverlapScheduler::on_completion(SchedulerContext& /*ctx*/, JobId id) {
 
 void OverlapScheduler::reset() { running_intervals_.clear(); }
 
-// Layout: [running intervals (3 words each: job, lo, hi)], already in the
-// sorted order the vector maintains.
-void OverlapScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  for (const RunningInterval& r : running_intervals_) {
-    out.push_back(r.job);
-    out.push_back(snapshot::pack_time(r.iv.lo));
-    out.push_back(snapshot::pack_time(r.iv.hi));
-  }
-}
-
-void OverlapScheduler::load_state(const std::uint64_t* data, std::size_t n) {
-  FJS_REQUIRE(n % 3 == 0, "overlap: malformed snapshot");
-  running_intervals_.clear();
-  for (std::size_t i = 0; i < n; i += 3) {
-    running_intervals_.push_back(
-        RunningInterval{static_cast<JobId>(data[i]),
-                        Interval(snapshot::unpack_time(data[i + 1]),
-                                 snapshot::unpack_time(data[i + 2]))});
-  }
-}
-
 }  // namespace fjs

@@ -31,8 +31,6 @@ class OverlapScheduler final : public OnlineScheduler {
   void on_deadline(SchedulerContext& ctx, JobId id) override;
   void on_completion(SchedulerContext& ctx, JobId id) override;
   void reset() override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::uint64_t* data, std::size_t n) override;
 
   double theta() const { return theta_; }
 
@@ -53,9 +51,8 @@ class OverlapScheduler final : public OnlineScheduler {
   /// Interval of every currently running job (we started them all, so we
   /// know their start times; lengths come from clairvoyance). Kept as a
   /// flat vector sorted by (iv.lo, job): the set is small and scanned on
-  /// every arrival, so a sorted vector beats a node-based map on both the
-  /// coverage query (one pass, no IntervalSet materialization) and
-  /// snapshot cost.
+  /// every arrival, so a sorted vector beats a node-based map on the
+  /// coverage query (one pass, no IntervalSet materialization).
   std::vector<RunningInterval> running_intervals_;
 };
 

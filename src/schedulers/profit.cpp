@@ -85,42 +85,4 @@ void ProfitScheduler::reset() {
   flag_history_.clear();
 }
 
-// Layout: [n_flags, flags (3 words each), flag_history (3 words each)].
-// pending_scratch_ is overwrite-before-use scratch, not state.
-void ProfitScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  out.push_back(flags_.size());
-  for (const FlagInfo& f : flags_) {
-    out.push_back(f.id);
-    out.push_back(snapshot::pack_time(f.length));
-    out.push_back(snapshot::pack_time(f.end));
-  }
-  for (const FlagInfo& f : flag_history_) {
-    out.push_back(f.id);
-    out.push_back(snapshot::pack_time(f.length));
-    out.push_back(snapshot::pack_time(f.end));
-  }
-}
-
-void ProfitScheduler::load_state(const std::uint64_t* data, std::size_t n) {
-  FJS_REQUIRE(n >= 1, "profit: truncated snapshot");
-  const std::size_t n_flags = static_cast<std::size_t>(data[0]);
-  FJS_REQUIRE(n >= 1 + 3 * n_flags && (n - 1) % 3 == 0,
-              "profit: malformed snapshot");
-  flags_.clear();
-  flag_history_.clear();
-  std::size_t i = 1;
-  for (std::size_t f = 0; f < n_flags; ++f, i += 3) {
-    flags_.push_back(FlagInfo{.id = static_cast<JobId>(data[i]),
-                              .length = snapshot::unpack_time(data[i + 1]),
-                              .end = snapshot::unpack_time(data[i + 2])});
-  }
-  for (; i < n; i += 3) {
-    flag_history_.push_back(
-        FlagInfo{.id = static_cast<JobId>(data[i]),
-                 .length = snapshot::unpack_time(data[i + 1]),
-                 .end = snapshot::unpack_time(data[i + 2])});
-  }
-}
-
 }  // namespace fjs

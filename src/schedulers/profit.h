@@ -31,8 +31,6 @@ class ProfitScheduler final : public OnlineScheduler {
   void on_deadline(SchedulerContext& ctx, JobId id) override;
   void on_completion(SchedulerContext& ctx, JobId id) override;
   void reset() override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::uint64_t* data, std::size_t n) override;
 
   double k() const { return k_; }
 

@@ -46,19 +46,4 @@ void RandomizedScheduler::on_timer(SchedulerContext& ctx, std::uint64_t tag) {
 
 void RandomizedScheduler::reset() { rng_ = Rng(seed_); }
 
-// Layout: the 4-word xoshiro256** position. The seed is immutable config;
-// capturing the stream POSITION is what makes a resumed run draw the same
-// offsets the uninterrupted run would.
-void RandomizedScheduler::save_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  const auto s = rng_.state();
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void RandomizedScheduler::load_state(const std::uint64_t* data,
-                                     std::size_t n) {
-  FJS_REQUIRE(n == 4, "random: malformed snapshot");
-  rng_.set_state({data[0], data[1], data[2], data[3]});
-}
-
 }  // namespace fjs

@@ -24,8 +24,6 @@ class RandomizedScheduler final : public OnlineScheduler {
   void on_deadline(SchedulerContext& ctx, JobId id) override;
   void on_timer(SchedulerContext& ctx, std::uint64_t tag) override;
   void reset() override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::uint64_t* data, std::size_t n) override;
 
  private:
   std::uint64_t seed_;

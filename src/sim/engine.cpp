@@ -15,10 +15,6 @@ telemetry::Counter g_tm_events{"engine.events",
                                telemetry::Stability::kDeterministic};
 telemetry::Counter g_tm_runs{"engine.runs",
                              telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_ckpt_captured{"engine.checkpoints_captured",
-                                      telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_ckpt_resumed{"engine.checkpoints_resumed",
-                                     telemetry::Stability::kDeterministic};
 telemetry::Histogram g_tm_heap_depth{"engine.heap_depth",
                                      telemetry::Stability::kDeterministic};
 
@@ -163,127 +159,6 @@ void Engine::preload_static(
   jobs_ = records;
   staged_ = staged;
   next_seq_ = static_cast<std::uint64_t>(staged_.size());
-}
-
-void Engine::resume_static(const EngineCheckpoint& ckpt,
-                           const std::vector<detail::EngineJobRecord>& records,
-                           const std::vector<Event>& staged) {
-  FJS_REQUIRE(!started_ && jobs_.empty() && staged_.empty() && heap_.empty(),
-              "resume_static: engine already holds jobs or events");
-  FJS_REQUIRE(ckpt.valid, "resume_static: invalid checkpoint");
-  FJS_REQUIRE(records.size() == staged.size(),
-              "resume_static: one staged arrival per job record");
-  FJS_REQUIRE(ckpt.jobs.size() == records.size(),
-              "resume_static: job count differs from the captured run");
-  FJS_REQUIRE(ckpt.staged_head <= records.size(),
-              "resume_static: checkpoint past the timeline");
-  // Arrived jobs ([0, staged_head)) carry run state and come from the
-  // checkpoint; the suffix is pre-arrival in both runs, so the (possibly
-  // mutated) new template is authoritative there. All copy-assigns below
-  // reuse the workspace's capacity — zero steady-state allocations.
-  jobs_ = ckpt.jobs;
-  std::copy(records.begin() + static_cast<std::ptrdiff_t>(ckpt.staged_head),
-            records.end(),
-            jobs_.begin() + static_cast<std::ptrdiff_t>(ckpt.staged_head));
-  staged_ = staged;
-  staged_head_ = ckpt.staged_head;
-  heap_ = ckpt.heap;
-  pending_ = ckpt.pending;
-  running_ = ckpt.running;
-  pending_view_ = ckpt.pending_view;
-  running_view_ = ckpt.running_view;
-  pending_view_dirty_ = ckpt.pending_view_dirty;
-  running_view_dirty_ = ckpt.running_view_dirty;
-  span_ = ckpt.span;
-  now_ = ckpt.now;
-  next_seq_ = ckpt.next_seq;
-  next_order_ = ckpt.next_order;
-  done_count_ = ckpt.done_count;
-  event_count_ = ckpt.event_count;
-  scheduler_.load_state(ckpt.scheduler_state.data(),
-                        ckpt.scheduler_state.size());
-  resumed_ = true;
-  g_tm_ckpt_resumed.increment();
-}
-
-void Engine::capture_into(EngineCheckpoint& ckpt) {
-  ckpt.valid = true;
-  ckpt.staged_head = staged_head_;
-  ckpt.next_seq = next_seq_;
-  ckpt.next_order = next_order_;
-  ckpt.now = now_;
-  ckpt.done_count = done_count_;
-  ckpt.event_count = event_count_;
-  ckpt.trace_len = trace_.size();
-  ckpt.pending_view_dirty = pending_view_dirty_;
-  ckpt.running_view_dirty = running_view_dirty_;
-  ckpt.jobs = jobs_;
-  ckpt.heap = heap_;
-  ckpt.pending = pending_;
-  ckpt.running = running_;
-  ckpt.pending_view = pending_view_;
-  ckpt.running_view = running_view_;
-  ckpt.span = span_;
-  scheduler_.save_state(ckpt.scheduler_state);
-}
-
-void Engine::maybe_capture() {
-  // Called right before the staged arrival at staged_head_ is consumed.
-  // Slots whose planned index is already behind (possible only on a resumed
-  // run whose cursor was armed conservatively) can never be captured here.
-  auto& cursor = series_->cursor_;
-  while (cursor < series_->capture_indices_.size() &&
-         series_->capture_indices_[cursor] < staged_head_) {
-    ++cursor;
-  }
-  if (cursor < series_->capture_indices_.size() &&
-      series_->capture_indices_[cursor] == staged_head_) {
-    capture_into(series_->slots_[cursor]);
-    ++cursor;
-    g_tm_ckpt_captured.increment();
-  }
-}
-
-void EngineCheckpointSeries::plan(std::size_t arrivals,
-                                  std::size_t max_slots) {
-  // Strided indices ceil(arrivals * j / (K + 1)), j = 1..K, deduplicated,
-  // never 0 (empty prefix) and necessarily < arrivals.
-  static thread_local std::vector<std::size_t> planned;
-  planned.clear();
-  for (std::size_t j = 1; j <= max_slots; ++j) {
-    const std::size_t idx =
-        (arrivals * j + max_slots) / (max_slots + 1);  // ceil
-    if (idx == 0 || idx >= arrivals) {
-      continue;
-    }
-    if (planned.empty() || planned.back() < idx) {
-      planned.push_back(idx);
-    }
-  }
-  if (planned == capture_indices_) {
-    return;  // same plan: keep captured slots (the mutate-in-place loop)
-  }
-  capture_indices_ = planned;
-  slots_.resize(capture_indices_.size());
-  invalidate_from(0);
-  cursor_ = 0;
-}
-
-std::ptrdiff_t EngineCheckpointSeries::deepest_valid(std::size_t k_diff,
-                                                     Time t_affected) const {
-  for (std::size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i].valid && capture_indices_[i] <= k_diff &&
-        slots_[i].now < t_affected) {
-      return static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  return -1;
-}
-
-void EngineCheckpointSeries::invalidate_from(std::size_t first) {
-  for (std::size_t i = first; i < slots_.size(); ++i) {
-    slots_[i].valid = false;
-  }
 }
 
 Engine::JobRecord& Engine::record(JobId id) {
@@ -604,14 +479,9 @@ void Engine::drive() {
                 "scheduler " + scheduler_.name() +
                     " requires the clairvoyant model");
   }
-  if (!resumed_) {
-    // A resumed run's checkpoint already encodes the post-reset,
-    // post-begin state; resetting here would wipe the restored scheduler.
-    scheduler_.reset();
-    apply(source_.begin());
-  }
+  scheduler_.reset();
+  apply(source_.begin());
   started_ = true;
-  const std::size_t events_before = event_count_;
 
   // Two-source merge: the staged arrival FIFO and the heap are combined
   // by the same (time, kind, seq) order the heap alone would yield.
@@ -623,9 +493,6 @@ void Engine::drive() {
     Event event;
     if (have_staged &&
         (heap_.empty() || event_before(staged_[staged_head_], heap_.front()))) {
-      if (series_ != nullptr) {
-        maybe_capture();
-      }
       event = staged_[staged_head_++];
     } else {
       event = pop_event();
@@ -639,7 +506,7 @@ void Engine::drive() {
     process(event);
   }
 
-  g_tm_events.add(event_count_ - events_before);
+  g_tm_events.add(event_count_);
   g_tm_runs.increment();
   g_tm_heap_depth.record(heap_high_water_);
 }

@@ -115,83 +115,6 @@ class EngineContext final : public SchedulerContext {
 
 }  // namespace detail
 
-/// A captured mid-run engine state: everything Engine::drive mutates, plus
-/// the scheduler's opaque snapshot (OnlineScheduler::save_state). A
-/// checkpoint is taken immediately BEFORE the staged arrival at index
-/// `staged_head` is consumed, so it represents "all events strictly
-/// preceding arrival #staged_head have been processed".
-///
-/// Restoring (Engine::resume_static) replays the rest of a run — possibly
-/// against a MUTATED arrival suffix — without re-simulating the shared
-/// prefix. Storage is plain vectors, so capture/restore are copy-assigns
-/// that reuse capacity: zero steady-state allocations once warm (verified
-/// by the FJS_COUNT_ALLOCS gate in bench E9).
-struct EngineCheckpoint {
-  bool valid = false;
-  std::size_t staged_head = 0;  ///< staged arrival index about to process
-  std::uint64_t next_seq = 0;
-  std::uint64_t next_order = 0;
-  Time now;                     ///< time of the last PROCESSED event
-  std::size_t done_count = 0;
-  std::size_t event_count = 0;
-  std::size_t trace_len = 0;    ///< prefix length when tracing (see run())
-  bool pending_view_dirty = false;
-  bool running_view_dirty = false;
-  std::vector<detail::EngineJobRecord> jobs;
-  std::vector<Event> heap;
-  std::vector<JobId> pending;
-  std::vector<JobId> running;
-  std::vector<JobId> pending_view;
-  std::vector<JobId> running_view;
-  SpanTracker span;
-  std::vector<std::uint64_t> scheduler_state;
-};
-
-/// A reusable set of checkpoints strided across one static timeline,
-/// captured by Engine::capture_checkpoints during a run and consulted by
-/// the next run over a mutated version of the same timeline (see
-/// PortfolioRunner's prefix replay). Slot storage persists across runs, so
-/// steady-state capture allocates nothing.
-class EngineCheckpointSeries {
- public:
-  static constexpr std::size_t kDefaultSlots = 4;
-
-  /// Plans capture points for an `arrivals`-event timeline: up to
-  /// `max_slots` staged indices strided evenly across (0, arrivals) —
-  /// index 0 is never planned (an empty-prefix checkpoint is just a full
-  /// replay). Keeps existing slots when the planned indices are unchanged
-  /// (the common mutate-in-place loop); otherwise invalidates everything.
-  void plan(std::size_t arrivals, std::size_t max_slots = kDefaultSlots);
-
-  std::size_t size() const { return capture_indices_.size(); }
-  std::size_t capture_index(std::size_t slot) const {
-    return capture_indices_[slot];
-  }
-  const EngineCheckpoint& slot(std::size_t i) const { return slots_[i]; }
-
-  /// Deepest slot usable for a run whose prepared timeline first differs
-  /// from the captured one at staged index `k_diff`, with `t_affected` the
-  /// earliest time either version of that arrival occupies. A slot
-  /// qualifies iff its whole captured prefix is unaffected: capture index
-  /// <= k_diff AND every processed event strictly predates t_affected.
-  /// Returns -1 if none qualifies (full replay).
-  std::ptrdiff_t deepest_valid(std::size_t k_diff, Time t_affected) const;
-
-  /// Marks slots_[first..] invalid (their prefix no longer matches the
-  /// lineage base).
-  void invalidate_from(std::size_t first);
-
-  /// Sets the capture cursor: the next run captures slots_[first..] as it
-  /// crosses their staged indices (earlier slots are kept as-is).
-  void arm(std::size_t first) { cursor_ = first; }
-
- private:
-  friend class Engine;
-  std::vector<std::size_t> capture_indices_;
-  std::vector<EngineCheckpoint> slots_;
-  std::size_t cursor_ = 0;
-};
-
 /// Recyclable buffer set for running many simulations without paying
 /// per-run allocation. Opaque: hand it to consecutive Engine constructions
 /// (one at a time) and each run returns its storage here on completion.
@@ -249,25 +172,6 @@ class Engine {
   void preload_static(const std::vector<detail::EngineJobRecord>& records,
                       const std::vector<Event>& staged);
 
-  /// Like preload_static, but resumes from `ckpt` instead of the start:
-  /// engine state is restored wholesale, the scheduler is load_state()d,
-  /// and only arrivals from ckpt.staged_head on are replayed. `records` /
-  /// `staged` describe the FULL (possibly mutated) timeline; the caller
-  /// guarantees the mutation does not touch the checkpoint's prefix (see
-  /// EngineCheckpointSeries::deepest_valid). Requires the same job count
-  /// as the captured run. drive() then skips scheduler reset and
-  /// source.begin() — the checkpoint already encodes them.
-  void resume_static(const EngineCheckpoint& ckpt,
-                     const std::vector<detail::EngineJobRecord>& records,
-                     const std::vector<Event>& staged);
-
-  /// Registers a checkpoint series to capture into during the coming run
-  /// (armed slots only; see EngineCheckpointSeries::arm). The series must
-  /// outlive the run. Pass nullptr to disable.
-  void capture_checkpoints(EngineCheckpointSeries* series) {
-    series_ = series;
-  }
-
  private:
   friend class detail::EngineContext;
 
@@ -281,8 +185,6 @@ class Engine {
   void push(Event event);
   void heap_insert(const Event& event);
   Event pop_event();
-  void maybe_capture();
-  void capture_into(EngineCheckpoint& ckpt);
   void start_job(JobId id);
   void process(const Event& event);
   void drive();
@@ -314,8 +216,6 @@ class Engine {
   std::uint64_t next_order_ = 0;
   Time now_;
   bool started_ = false;
-  bool resumed_ = false;  ///< resume_static: drive() skips reset/begin
-  EngineCheckpointSeries* series_ = nullptr;
 
   std::vector<JobRecord> jobs_;
   std::vector<JobId> pending_;   ///< unordered storage, slot-indexed

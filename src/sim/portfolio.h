@@ -11,7 +11,10 @@
 // — and replays the prepared timeline for each portfolio entry through
 // Engine::preload_static. The replay is bit-identical to the classic path
 // (same events, same seqs, same tie-breaking), which the portfolio
-// determinism tests pin down.
+// determinism tests pin down. Every replay runs from t=0: the miner's
+// candidates are ~10 jobs, a whole replay is a few hundred events, and
+// resuming from mid-run checkpoints cost more than the suffix it saved
+// (docs/PERF.md §4).
 //
 // The span-only mode (run_spans/run_span) skips Instance/Schedule
 // materialization entirely and, with a warm workspace, performs ZERO heap
@@ -28,8 +31,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
-#include <typeinfo>
 #include <vector>
 
 #include "sim/engine.h"
@@ -99,23 +100,6 @@ struct PortfolioSpanResult {
   bool shared_timeline = false;   ///< prepared fast path used (not adaptive)
 };
 
-/// Counters for the checkpointed prefix-replay cache (see
-/// PortfolioRunner::enable_prefix_replay). A "hit" resumes a run from the
-/// deepest valid checkpoint instead of replaying from t=0; a "miss" is a
-/// prefix-eligible run that had to replay in full (no valid checkpoint for
-/// the mutated timeline). Adaptive runs and disabled entries count as
-/// neither.
-struct PrefixReplayStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  /// Staged arrivals NOT re-processed thanks to resumes (sum of the
-  /// restored checkpoints' staged heads); hits > 0 implies > 0.
-  std::size_t arrivals_skipped = 0;
-  /// Total events (arrivals, deadlines, completions, timers) not
-  /// re-processed thanks to resumes.
-  std::size_t events_skipped = 0;
-};
-
 /// Replays one instance under a portfolio of schedulers. Holds the
 /// prepared timeline, a leased engine workspace, and scratch buffers, so
 /// a long-lived runner reaches a zero-allocation steady state in span
@@ -141,47 +125,20 @@ class PortfolioRunner {
   /// filled with the scheduler's chosen start times indexed by the
   /// instance's own job ids — the online schedule without materializing a
   /// Schedule. Requires the non-adaptive (shared-timeline) path.
-  ///
-  /// `earliest_affected_hint`: callers that know how this instance differs
-  /// from the previous one handed to this runner (e.g. the miner's
-  /// single-job mutations) may pass the earliest event time the change can
-  /// influence; prefix replay takes the min of the hint and its own
-  /// timeline diff when choosing the deepest valid checkpoint. Time::max()
-  /// (the default) means "no extra knowledge".
   Time run_span(const Instance& instance, const PortfolioEntry& entry,
                 std::vector<Time>* starts_out = nullptr,
-                const PortfolioOptions& options = {},
-                Time earliest_affected_hint = Time::max());
+                const PortfolioOptions& options = {});
 
   /// View form of the single-entry span path (always shared-timeline).
   /// This is the miner's hot loop: a scratch JobTable is evaluated
   /// without materializing an Instance.
   Time run_span(InstanceView view, const PortfolioEntry& entry,
-                std::vector<Time>* starts_out = nullptr,
-                Time earliest_affected_hint = Time::max());
+                std::vector<Time>* starts_out = nullptr);
 
-  /// Enables checkpointed prefix replay on the shared-timeline span path:
-  /// each (scheduler, model) pair keeps up to `max_checkpoints` mid-run
-  /// engine checkpoints strided across the last replayed timeline, and the
-  /// next run over a similar timeline resumes from the deepest checkpoint
-  /// whose prefix the change cannot affect (bit-identical to a full
-  /// replay; pinned by the checkpoint differential tests/oracles). By
-  /// default only clairvoyant entries participate; the miner-style static
-  /// non-clairvoyant replay (NoDeferralOracle, preloaded timeline) is just
-  /// as deterministic, so such callers opt in with
-  /// `include_nonclairvoyant`. The adaptive-adversary gate disables prefix
-  /// replay exactly like it disables timeline sharing. Requires scheduler
-  /// objects that stay alive (and unreconfigured) across runs; a changed
-  /// scheduler at the same address is detected by type+name and retires
-  /// the stale checkpoints.
-  void enable_prefix_replay(
-      std::size_t max_checkpoints = EngineCheckpointSeries::kDefaultSlots,
-      bool include_nonclairvoyant = false);
-
-  /// Disables prefix replay and drops all lineages (stats are kept).
-  void disable_prefix_replay();
-
-  const PrefixReplayStats& prefix_stats() const { return prefix_stats_; }
+  /// No-op. Kept only because the perfbench harness still calls it; it
+  /// goes when the benchmark contract drops its prefix-replay metrics
+  /// (ROADMAP item 1).
+  void enable_prefix_replay() {}
 
   /// Full-result mode: one SimulationResult per entry (realized instance,
   /// validated schedule, optional trace). Still amortizes the prepared
@@ -191,44 +148,14 @@ class PortfolioRunner {
       const PortfolioOptions& options = {});
 
  private:
-  /// Checkpoint lineage: the last prepared timeline replayed for one
-  /// (scheduler, model) pair plus the checkpoint series captured over it.
-  /// type/name guard against a different scheduler reusing the address.
-  struct PrefixLineage {
-    const OnlineScheduler* scheduler = nullptr;
-    bool clairvoyant = false;
-    const std::type_info* type = nullptr;
-    std::string name;
-    bool has_base = false;
-    std::vector<detail::EngineJobRecord> base_records;
-    std::vector<Event> base_staged;
-    EngineCheckpointSeries series;
-  };
-
   Time shared_span(const PortfolioEntry& entry,
                    std::vector<Time>* starts_engine_order);
   Time adaptive_span(const Instance& instance, const PortfolioEntry& entry,
                      const PortfolioOptions& options);
-  /// Shared-timeline span over the already-prepared timeline, resuming
-  /// from the deepest valid checkpoint when one exists and recapturing the
-  /// invalidated tail for the next run.
-  Time prefix_span(const PortfolioEntry& entry,
-                   std::vector<Time>* starts_engine_order,
-                   Time earliest_affected_hint);
-  bool prefix_eligible(const PortfolioEntry& entry) const {
-    return prefix_enabled_ &&
-           (entry.clairvoyant || prefix_nonclairvoyant_);
-  }
-  PrefixLineage& lineage_for(const PortfolioEntry& entry);
 
   PreparedInstance prepared_;
   std::vector<Time> starts_scratch_;
   EngineWorkspacePool::Lease workspace_;
-  bool prefix_enabled_ = false;
-  bool prefix_nonclairvoyant_ = false;
-  std::size_t prefix_max_checkpoints_ = EngineCheckpointSeries::kDefaultSlots;
-  std::vector<std::unique_ptr<PrefixLineage>> lineages_;
-  PrefixReplayStats prefix_stats_;
 };
 
 /// Convenience wrappers over a thread-local PortfolioRunner.

@@ -11,21 +11,8 @@
 
 #include "core/job.h"
 #include "core/time.h"
-#include "support/assert.h"
 
 namespace fjs {
-
-/// Helpers for packing scheduler state into the opaque 64-bit words of
-/// OnlineScheduler::save_state / load_state. Times round-trip through
-/// two's complement.
-namespace snapshot {
-inline std::uint64_t pack_time(Time t) {
-  return static_cast<std::uint64_t>(t.ticks());
-}
-inline Time unpack_time(std::uint64_t w) {
-  return Time(static_cast<std::int64_t>(w));
-}
-}  // namespace snapshot
 
 /// What a scheduler may know about a job. The processing length is not
 /// part of the view; it must be requested via SchedulerContext::length_of,
@@ -111,30 +98,6 @@ class OnlineScheduler {
 
   /// Clears all per-run state so the object can drive a fresh simulation.
   virtual void reset() {}
-
-  /// Serializes ALL mutable per-run state into `out` (cleared first) as
-  /// opaque 64-bit words — everything reset() would clear, plus any RNG
-  /// position. Immutable configuration (k, theta, seeds) is NOT included;
-  /// a snapshot is only valid on the scheduler object (or an identically
-  /// configured one) that produced it. The default implementation is for
-  /// stateless schedulers: it saves nothing.
-  ///
-  /// This is the scheduler half of engine checkpointing (see
-  /// EngineCheckpoint): save_state at an event boundary plus load_state
-  /// later must reproduce the uninterrupted run decision-for-decision.
-  virtual void save_state(std::vector<std::uint64_t>& out) const {
-    out.clear();
-  }
-
-  /// Restores state produced by save_state, REPLACING all mutable state
-  /// (a load_state is a reset to the captured position). The default
-  /// matches the stateless save_state and rejects non-empty payloads, so
-  /// a stateful scheduler that forgets to override both halves fails
-  /// loudly instead of silently resuming from a half-stale state.
-  virtual void load_state(const std::uint64_t* data, std::size_t n) {
-    (void)data;
-    FJS_REQUIRE(n == 0, "scheduler: unexpected snapshot payload");
-  }
 };
 
 }  // namespace fjs

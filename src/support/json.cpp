@@ -1,6 +1,7 @@
 #include "support/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,13 @@ JsonValue JsonValue::number(double value) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.number_ = value;
+  return v;
+}
+
+JsonValue JsonValue::unsigned_integer(std::uint64_t value) {
+  JsonValue v;
+  v.kind_ = Kind::kUnsigned;
+  v.unsigned_ = value;
   return v;
 }
 
@@ -50,8 +58,21 @@ bool JsonValue::as_bool() const {
 }
 
 double JsonValue::as_number() const {
+  if (kind_ == Kind::kUnsigned) {
+    return static_cast<double>(unsigned_);
+  }
   FJS_REQUIRE(kind_ == Kind::kNumber, "JsonValue: not a number");
   return number_;
+}
+
+std::uint64_t JsonValue::as_unsigned() const {
+  if (kind_ == Kind::kUnsigned) {
+    return unsigned_;
+  }
+  FJS_REQUIRE(kind_ == Kind::kNumber && number_ >= 0.0 &&
+                  number_ <= 0x1p53 && std::trunc(number_) == number_,
+              "JsonValue: not an exact unsigned integer");
+  return static_cast<std::uint64_t>(number_);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -171,6 +192,7 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kNumber: out += format_number(number_); break;
+    case Kind::kUnsigned: out += std::to_string(unsigned_); break;
     case Kind::kString: out += json_escape(string_); break;
     case Kind::kArray: {
       if (items_.empty()) {
@@ -375,6 +397,21 @@ class Parser {
     skip_ws();
     const char* begin = text_.c_str() + pos_;
     char* end = nullptr;
+    // Plain digits (no sign, fraction or exponent) that fit in 64 bits are
+    // an exact unsigned integer; everything else is a double.
+    std::size_t digits = 0;
+    while (std::isdigit(static_cast<unsigned char>(begin[digits]))) {
+      ++digits;
+    }
+    const char next = begin[digits];
+    if (digits > 0 && next != '.' && next != 'e' && next != 'E') {
+      errno = 0;
+      const unsigned long long value = std::strtoull(begin, &end, 10);
+      if (errno != ERANGE) {
+        pos_ += digits;
+        return JsonValue::unsigned_integer(value);
+      }
+    }
     const double value = std::strtod(begin, &end);
     FJS_REQUIRE(end != begin, "JSON parse: expected a value at offset " +
                                   std::to_string(pos_));
@@ -392,7 +429,23 @@ JsonValue JsonValue::parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
+namespace {
+
+bool same_number(double d, std::uint64_t u) {
+  return d >= 0.0 && d < 0x1p64 && std::trunc(d) == d &&
+         static_cast<std::uint64_t>(d) == u;
+}
+
+}  // namespace
+
 bool operator==(const JsonValue& a, const JsonValue& b) {
+  using Kind = JsonValue::Kind;
+  if (a.kind_ == Kind::kNumber && b.kind_ == Kind::kUnsigned) {
+    return same_number(a.number_, b.unsigned_);
+  }
+  if (a.kind_ == Kind::kUnsigned && b.kind_ == Kind::kNumber) {
+    return same_number(b.number_, a.unsigned_);
+  }
   if (a.kind_ != b.kind_) {
     return false;
   }
@@ -400,6 +453,7 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
     case JsonValue::Kind::kNull: return true;
     case JsonValue::Kind::kBool: return a.bool_ == b.bool_;
     case JsonValue::Kind::kNumber: return a.number_ == b.number_;
+    case JsonValue::Kind::kUnsigned: return a.unsigned_ == b.unsigned_;
     case JsonValue::Kind::kString: return a.string_ == b.string_;
     case JsonValue::Kind::kArray: return a.items_ == b.items_;
     case JsonValue::Kind::kObject: return a.members_ == b.members_;

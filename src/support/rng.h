@@ -36,11 +36,6 @@ class Rng {
   /// Used to give each parallel sweep task its own stream.
   Rng split();
 
-  /// Current 256-bit generator position, for checkpoint/restore of
-  /// randomized components (set_state resumes the exact stream).
-  std::array<std::uint64_t, 4> state() const { return state_; }
-  void set_state(const std::array<std::uint64_t, 4>& s) { state_ = s; }
-
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 

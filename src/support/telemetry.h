@@ -25,7 +25,7 @@
 //
 // Usage: define metrics at namespace scope in the instrumented .cpp —
 //
-//   static telemetry::Counter g_hits{"portfolio.prefix_hits",
+//   static telemetry::Counter g_hits{"miner.memo_hits",
 //                                    telemetry::Stability::kDeterministic};
 //   ...
 //   g_hits.add(1);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "helpers.h"
@@ -41,6 +42,9 @@ TEST(MinerDeterminism, TrajectoryIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.trajectory, serial.trajectory) << threads
                                                       << " threads";
     EXPECT_EQ(parallel.evaluations, serial.evaluations);
+    EXPECT_EQ(parallel.memo_hits, serial.memo_hits);
+    EXPECT_EQ(parallel.screen_rejects, serial.screen_rejects);
+    EXPECT_EQ(parallel.budget_skips, serial.budget_skips);
     EXPECT_EQ(parallel.worst_instance.to_string(),
               serial.worst_instance.to_string());
   }
@@ -67,48 +71,6 @@ TEST(MinerDeterminism, EvaluationsCountSearchEffort) {
   EXPECT_EQ(result.trajectory.size(), options.rounds + 1);
 }
 
-TEST(MinerPrefix, CacheStatsPopulatedAndValuesUnchanged) {
-  // mine_worst_case replays candidates through the checkpointed prefix
-  // cache. The cache must actually bite on the mutation-heavy access
-  // pattern, every skipped arrival must come from a hit, and — since the
-  // replayed spans are bit-identical — the search outputs must not depend
-  // on it (the trajectory pins above already compare against fixed
-  // values; here we pin the counters' internal consistency).
-  const MinerResult result = mine_worst_case("batch", small_options());
-  EXPECT_GT(result.prefix_hits, 0u);
-  EXPECT_GT(result.prefix_misses, 0u);
-  EXPECT_GE(result.prefix_arrivals_skipped, result.prefix_hits);
-  EXPECT_GT(result.mean_prefix_depth(), 0.0);
-  EXPECT_LT(result.mean_prefix_depth(),
-            static_cast<double>(small_options().jobs));
-  // Every objective call simulates exactly once: hit or miss, never both
-  // (screened candidates never reach the simulator at all).
-  EXPECT_EQ(result.prefix_hits + result.prefix_misses,
-            result.evaluations - result.memo_hits - result.screen_rejects);
-}
-
-TEST(MinerPrefix, CountersStableAcrossThreadCountsInSerialBatches) {
-  // Counter totals are aggregated across worker-thread caches; with the
-  // same work in the same order on ONE thread they are fully determined.
-  const MinerResult a = mine_worst_case("batch", small_options());
-  const MinerResult b = mine_worst_case("batch", small_options());
-  EXPECT_EQ(a.prefix_hits, b.prefix_hits);
-  EXPECT_EQ(a.prefix_misses, b.prefix_misses);
-  EXPECT_EQ(a.prefix_arrivals_skipped, b.prefix_arrivals_skipped);
-  // Parallel pools redistribute candidates over per-thread caches, so only
-  // the VALUES are pinned across thread counts (see MinerDeterminism);
-  // totals still conserve hit+miss = simulated candidates.
-  ThreadPool pool(3);
-  MinerOptions options = small_options();
-  options.pool = &pool;
-  const MinerResult parallel = mine_worst_case("batch", options);
-  EXPECT_EQ(parallel.trajectory, a.trajectory);
-  EXPECT_EQ(parallel.worst_ratio, a.worst_ratio);
-  EXPECT_EQ(parallel.prefix_hits + parallel.prefix_misses,
-            parallel.evaluations - parallel.memo_hits -
-                parallel.screen_rejects);
-}
-
 TEST(MinerScreen, PrecutPreservesTrajectoryAndCountsRejects) {
   // The lane-parallel LB pre-screen may settle a candidate with the
   // span-free upper bound min(max d+p - min a, sum p) / max p instead of
@@ -118,8 +80,8 @@ TEST(MinerScreen, PrecutPreservesTrajectoryAndCountsRejects) {
   // calls: settled values differ from true values but both stay at or
   // below the frozen threshold, so the trajectory, worst instance and
   // evaluation counts are bit-identical.
-  const auto objective = std::function<double(InstanceView, double, Time)>(
-      [](InstanceView view, double, Time) {
+  const auto objective = std::function<double(InstanceView, double)>(
+      [](InstanceView view, double) {
         const double window = time_ratio(
             view.latest_completion() - view.earliest_arrival(),
             view.max_length());
@@ -161,6 +123,82 @@ TEST(MinerScreen, WorstCaseMineScreensAndStaysConsistent) {
   // screen must settle exactly these candidates.
   EXPECT_EQ(result.evaluations, 144u);
   EXPECT_EQ(result.screen_rejects, 19u);
+}
+
+// Golden pin: mine_worst_case output at a small shape for one
+// non-clairvoyant and two clairvoyant schedulers, recorded while candidate
+// replays still resumed from mid-run engine checkpoints. Every candidate
+// now replays from t=0; spans, and therefore every mined field, must not
+// move.
+struct MinerGolden {
+  const char* key;
+  double worst_ratio;
+  std::size_t evaluations;
+  std::size_t memo_hits;
+  std::size_t screen_rejects;
+  std::size_t budget_skips;
+  std::vector<double> trajectory;
+  std::uint64_t rows_digest;  ///< FNV-1a over the worst instance's rows
+};
+
+std::uint64_t rows_digest(const Instance& instance) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t value) {
+    auto bits = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= bits & 0xffU;
+      h *= 0x100000001b3ULL;
+      bits >>= 8;
+    }
+  };
+  for (JobId id = 0; id < instance.size(); ++id) {
+    const Job& job = instance.job(id);
+    mix(job.arrival.ticks());
+    mix(job.deadline.ticks());
+    mix(job.length.ticks());
+  }
+  return h;
+}
+
+MinerOptions golden_options() {
+  MinerOptions options;
+  options.jobs = 8;
+  options.population = 32;
+  options.rounds = 8;
+  options.mutations_per_round = 8;
+  return options;
+}
+
+const std::vector<MinerGolden> kMinerGolden = {
+    {"batch+", 1.5, 96, 18, 0, 0,
+     {1.2222222222222223, 1.2222222222222223, 1.25, 1.25, 1.375, 1.375, 1.375,
+      1.4444444444444444, 1.5},
+     0xdf9bb3f8e7bb34f6ULL},
+    {"cdb", 1.5555555555555556, 96, 21, 0, 0,
+     {1.3333333333333333, 1.3333333333333333, 1.4444444444444444,
+      1.4444444444444444, 1.5555555555555556, 1.5555555555555556,
+      1.5555555555555556, 1.5555555555555556, 1.5555555555555556},
+     0x7b5364a8ca849f2cULL},
+    {"doubler*", 1.4444444444444444, 96, 19, 0, 0,
+     {1.2222222222222223, 1.2222222222222223, 1.2222222222222223,
+      1.2222222222222223, 1.3333333333333333, 1.3333333333333333,
+      1.3333333333333333, 1.3333333333333333, 1.4444444444444444},
+     0xd2130ba0fba1c580ULL},
+};
+
+TEST(MinerGolden, WorstCaseOutputMatchesPinnedValues) {
+  for (const MinerGolden& golden : kMinerGolden) {
+    SCOPED_TRACE(golden.key);
+    const MinerResult result = mine_worst_case(golden.key, golden_options());
+    EXPECT_EQ(result.worst_ratio, golden.worst_ratio);
+    EXPECT_EQ(result.evaluations, golden.evaluations);
+    EXPECT_EQ(result.memo_hits, golden.memo_hits);
+    EXPECT_EQ(result.screen_rejects, golden.screen_rejects);
+    EXPECT_EQ(result.budget_skips, golden.budget_skips);
+    EXPECT_EQ(result.trajectory, golden.trajectory);
+    EXPECT_EQ(rows_digest(result.worst_instance), golden.rows_digest)
+        << std::hex << "actual 0x" << rows_digest(result.worst_instance);
+  }
 }
 
 TEST(MinerBudget, UncertifiableCandidatesAreSkippedNotFatal) {

@@ -6,6 +6,7 @@
 #include "schedulers/registry.h"
 #include "support/assert.h"
 #include "workload/generator.h"
+#include "workload/suite.h"
 
 namespace fjs {
 namespace {
@@ -123,6 +124,82 @@ TEST(Sweep, ExactMethodOnIntegralCases) {
   EXPECT_EQ(aggregates[0].ratio_lower.samples(),
             aggregates[0].ratio_upper.samples());
   EXPECT_GE(aggregates[0].ratio_lower.min(), 1.0 - 1e-12);
+}
+
+// Golden pin: per-scheduler spans and both ratio ends on two standard_suite
+// cases, recorded while consecutive sweep cases on a worker still resumed
+// from mid-run engine checkpoints. Every case now replays from t=0; no
+// value may move.
+struct SweepGolden {
+  const char* key;
+  std::vector<double> spans;
+  std::vector<double> ratio_lower;
+  std::vector<double> ratio_upper;
+};
+
+const std::vector<SweepGolden> kSweepGolden = {
+    {"eager",
+     {153.72900000000001, 111.84357799999999},
+     {1.0070924189955177, 1.0750672551574447},
+     {1.007402870131924, 1.2953228389288394}},
+    {"lazy",
+     {154.73357999999999, 152.37018399999999},
+     {1.0136735123629015, 1.4646186970226829},
+     {1.0139859922186945, 1.764684059973382}},
+    {"random",
+     {154.20982599999999, 140.76890599999999},
+     {1.0102423530967994, 1.3531044347037642},
+     {1.0105537752469904, 1.6303231907765587}},
+    {"batch",
+     {154.440315, 108.290099},
+     {1.0117523071364527, 1.0409103640502091},
+     {1.0120641947523137, 1.2541680172693068}},
+    {"batch+",
+     {153.72308899999999, 101.656852},
+     {1.0070536955062042, 0.97715000540832653},
+     {1.007364134705522, 1.1773446851745826}},
+    {"cdb",
+     {153.91495599999999, 111.639476},
+     {1.0083106333718992, 1.073105377856701},
+     {1.0086214600409082, 1.2929590198629735}},
+    {"profit",
+     {154.66543899999999, 114.271165},
+     {1.013227114581593, 1.098401802740909},
+     {1.0135394568286662, 1.3234380775577996}},
+    {"doubler*",
+     {154.330603, 110.391364},
+     {1.01103357401861, 1.0611082264246441},
+     {1.011345240074355, 1.2785039388645709}},
+    {"overlap",
+     {153.900374, 103.271432},
+     {1.0082151053865887, 0.99266973501526123},
+     {1.0085259026076832, 1.1960440364174203}},
+};
+
+TEST(Sweep, GoldenSpansAndBracketsOnStandardSuite) {
+  std::vector<SweepCase> cases;
+  for (const auto& [family, seed] :
+       std::vector<std::pair<std::size_t, std::uint64_t>>{{0, 11}, {4, 12}}) {
+    const NamedWorkload& named = standard_suite()[family];
+    auto made = make_cases(named.config, named.name, 1, seed);
+    cases.push_back(std::move(made.front()));
+  }
+  std::vector<std::string> keys;
+  for (const SweepGolden& golden : kSweepGolden) {
+    keys.emplace_back(golden.key);
+  }
+  SweepOptions options;
+  options.serial = true;
+  const auto aggregates = run_ratio_sweep(cases, keys, options);
+  ASSERT_EQ(aggregates.size(), kSweepGolden.size());
+  for (std::size_t s = 0; s < aggregates.size(); ++s) {
+    SCOPED_TRACE(kSweepGolden[s].key);
+    EXPECT_EQ(aggregates[s].spans.samples(), kSweepGolden[s].spans);
+    EXPECT_EQ(aggregates[s].ratio_lower.samples(),
+              kSweepGolden[s].ratio_lower);
+    EXPECT_EQ(aggregates[s].ratio_upper.samples(),
+              kSweepGolden[s].ratio_upper);
+  }
 }
 
 TEST(Sweep, RejectsEmptySchedulerList) {

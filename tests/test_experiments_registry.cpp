@@ -4,6 +4,7 @@
 // failing-verdict experiment.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -140,6 +141,50 @@ TEST(Json, IntegralNumbersPrintPlainAndRoundTrip) {
   }
 }
 
+TEST(Json, UnsignedIntegersRoundTripExactly) {
+  const std::vector<std::pair<std::uint64_t, std::string>> cases = {
+      {0, "0"},
+      {9007199254740993ULL, "9007199254740993"},  // 2^53 + 1
+      {16647628098778500000ULL, "16647628098778500000"},
+      {UINT64_MAX, "18446744073709551615"},
+  };
+  for (const auto& [value, text] : cases) {
+    const JsonValue number = JsonValue::unsigned_integer(value);
+    EXPECT_EQ(number.dump(0), text);
+    const JsonValue parsed = JsonValue::parse(text);
+    EXPECT_EQ(parsed.kind(), JsonValue::Kind::kUnsigned) << text;
+    EXPECT_EQ(parsed.as_unsigned(), value) << text;
+    EXPECT_EQ(parsed, number) << text;
+    EXPECT_EQ(parsed.dump(0), text);
+  }
+  // One past UINT64_MAX no longer fits: it parses as a double.
+  EXPECT_EQ(JsonValue::parse("18446744073709551616").kind(),
+            JsonValue::Kind::kNumber);
+  // A double holding the same value compares equal; 2^53 + 1 has no
+  // double, so the nearest one does not.
+  EXPECT_EQ(JsonValue::number(7.0), JsonValue::unsigned_integer(7));
+  EXPECT_NE(JsonValue::number(9007199254740992.0),
+            JsonValue::unsigned_integer(9007199254740993ULL));
+  EXPECT_THROW((void)JsonValue::number(0.5).as_unsigned(), AssertionError);
+  EXPECT_THROW((void)JsonValue::number(-1.0).as_unsigned(), AssertionError);
+}
+
+TEST(Json, ManifestRecordsSeedsExactly) {
+  RunReport report;
+  report.run_id = "seed-run";
+  report.base_seed = UINT64_MAX;
+  ExperimentRecord record;
+  record.name = "e2";
+  record.seed = 9007199254740993ULL;  // 2^53 + 1
+  report.records.push_back(record);
+  const JsonValue manifest = JsonValue::parse(manifest_json(report).dump());
+  EXPECT_EQ(manifest.get("base_seed").as_unsigned(), UINT64_MAX);
+  EXPECT_EQ(manifest.get("experiments").at(0).get("seed").as_unsigned(),
+            9007199254740993ULL);
+  const JsonValue verdicts = JsonValue::parse(verdicts_json(report).dump());
+  EXPECT_EQ(verdicts.get("base_seed").as_unsigned(), UINT64_MAX);
+}
+
 RunReport sample_report() {
   RunReport report;
   report.run_id = "test-run";
@@ -156,7 +201,7 @@ RunReport sample_report() {
   record.verdicts.push_back(Verdict::equals("v", 1.0, 1.0, 1e-6, "note"));
   record.csv_files.push_back("e1/demo.csv");
   record.artifacts.push_back("e1/raw.json");
-  record.diagnostics.emplace_back("prefix_hits.demo", 7.0);
+  record.diagnostics.emplace_back("memo_hits.demo", 7.0);
   report.records.push_back(record);
   return report;
 }
@@ -173,7 +218,7 @@ TEST(Json, ManifestAndVerdictsRoundTrip) {
   EXPECT_DOUBLE_EQ(entry.get("wall_ms").as_number(), 12.5);
   EXPECT_EQ(entry.get("csv_files").at(0).as_string(), "e1/demo.csv");
   EXPECT_DOUBLE_EQ(
-      entry.get("diagnostics").get("prefix_hits.demo").as_number(), 7.0);
+      entry.get("diagnostics").get("memo_hits.demo").as_number(), 7.0);
 
   const JsonValue verdicts = verdicts_json(report);
   EXPECT_EQ(JsonValue::parse(verdicts.dump()), verdicts);

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/job_table.h"
 #include "helpers.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
@@ -318,42 +319,46 @@ TEST(PortfolioAllocs, SpanModeSteadyStateIsAllocationFree) {
       << "span-only portfolio steady state must not touch the heap";
 }
 
-TEST(PortfolioAllocs, PrefixReplayRestoreSteadyStateIsAllocationFree) {
+TEST(PortfolioAllocs, MinerMutationLoopIsAllocationFree) {
   if (!alloc_counting_enabled()) {
     GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
   }
-  // Checkpointed prefix replay in the miner's steady state: alternating
-  // single-job variants of one instance, every run restoring a deep
-  // checkpoint (the mutated job is the latest arrival, so the whole
-  // captured prefix stays valid) and recapturing the tail. Restores,
-  // captures and the lineage-base refresh must all reuse warm capacity.
+  // The miner's hot loop: a scratch JobTable alternates between a parent
+  // and a single-job mutation of it (patch in place, replay, undo), and
+  // every candidate is replayed from t=0 through the view path with start
+  // capture. Re-lowering, the replay and the start remap must all reuse
+  // warm capacity.
   const Instance base = random_integral_instance(3, 40, 60, 6, 5);
-  std::vector<Job> jobs(base.view().jobs().begin(), base.view().jobs().end());
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    if (jobs[i].arrival > jobs[victim].arrival) {
-      victim = i;
-    }
-  }
-  jobs[victim].deadline = jobs[victim].deadline + Time(Time::kTicksPerUnit);
-  const Instance mutated{std::move(jobs)};
+  JobTable table{base.view()};
+  const auto victim = static_cast<JobId>(table.size() / 2);
+  const Job job = table.job(victim);
   const auto batch_plus = make_scheduler("batch+");
-  const PortfolioEntry entry{batch_plus.get(), true};
+  const PortfolioEntry entry{batch_plus.get(),
+                             batch_plus->requires_clairvoyance()};
   PortfolioRunner runner;
-  runner.enable_prefix_replay();
+  std::vector<Time> starts;
+  const auto run_candidate = [&](int i) {
+    if (i % 2 == 0) {
+      return runner.run_span(table.view(), entry, &starts);
+    }
+    const JobTable::Undo undo = table.undo_record(victim);
+    table.set(victim, job.arrival, job.deadline + Time(Time::kTicksPerUnit),
+              job.length);
+    const Time span = runner.run_span(table.view(), entry, &starts);
+    table.restore(undo);
+    return span;
+  };
   for (int warm = 0; warm < 4; ++warm) {
-    runner.run_span(warm % 2 == 0 ? base : mutated, entry);
+    run_candidate(warm);
   }
-  const PrefixReplayStats warm_stats = runner.prefix_stats();
   const AllocCounts before = alloc_counts();
   for (int i = 0; i < 20; ++i) {
-    runner.run_span(i % 2 == 0 ? base : mutated, entry);
+    run_candidate(i);
   }
   const AllocCounts after = alloc_counts();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
-      << "checkpoint restore/capture steady state must not touch the heap";
-  // The loop above really was the restore path, not 20 cold replays.
-  EXPECT_EQ(runner.prefix_stats().hits - warm_stats.hits, 20u);
+      << "miner mutate-replay steady state must not touch the heap";
+  EXPECT_EQ(starts.size(), base.size());
 }
 
 TEST(PortfolioAllocs, SimulateSpanNeverAllocatesATrace) {
