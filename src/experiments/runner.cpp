@@ -287,11 +287,10 @@ JsonValue manifest_json(const RunReport& report) {
   manifest.set("profile",
                JsonValue::string(report.smoke ? "smoke" : "full"));
   manifest.set("base_seed", JsonValue::unsigned_integer(report.base_seed));
-  manifest.set("jobs", JsonValue::number(static_cast<double>(report.jobs)));
-  manifest.set(
-      "hardware_concurrency",
-      JsonValue::number(static_cast<double>(
-          std::max<std::size_t>(1, std::thread::hardware_concurrency()))));
+  manifest.set("jobs", JsonValue::unsigned_integer(report.jobs));
+  manifest.set("hardware_concurrency",
+               JsonValue::unsigned_integer(std::max<std::size_t>(
+                   1, std::thread::hardware_concurrency())));
 
   JsonValue host = JsonValue::object();
   char hostname[256] = {0};
@@ -329,10 +328,8 @@ JsonValue manifest_json(const RunReport& report) {
     entry.set("diagnostics", diagnostics);
     entry.set("csv_files", string_array(record.csv_files));
     entry.set("artifacts", string_array(record.artifacts));
-    entry.set("verdicts", JsonValue::number(
-                              static_cast<double>(record.verdicts.size())));
-    entry.set("failures",
-              JsonValue::number(static_cast<double>(failure_count(record))));
+    entry.set("verdicts", JsonValue::unsigned_integer(record.verdicts.size()));
+    entry.set("failures", JsonValue::unsigned_integer(failure_count(record)));
     entry.set("error", JsonValue::string(record.error));
     experiments.push_back(entry);
   }

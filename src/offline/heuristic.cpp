@@ -1,14 +1,23 @@
 #include "offline/heuristic.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/interval_set.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 
 namespace fjs {
 namespace {
+
+telemetry::Counter g_tm_descent_evals{"heuristic.descent_evals",
+                                      telemetry::Stability::kDeterministic};
+telemetry::Counter g_tm_descent_skips{"heuristic.descent_skips",
+                                      telemetry::Stability::kDeterministic};
+telemetry::Counter g_tm_descent_moves{"heuristic.descent_moves",
+                                      telemetry::Stability::kDeterministic};
 
 using Components = std::span<const Interval>;
 
@@ -16,15 +25,31 @@ using Components = std::span<const Interval>;
 /// pass so the search allocates only while its buffers grow.
 struct Workspace {
   /// Every job's active interval, by id, and the same list sorted by left
-  /// endpoint; both track `starts` through every move.
+  /// endpoint; both track `starts` through every move. sorted_reach[i] is
+  /// the largest `hi` in sorted[0..i].
   std::vector<Interval> intervals;
   std::vector<Interval> sorted;
+  std::vector<Time> sorted_reach;
+  /// Every job's feasible window sorted by left endpoint, the job each one
+  /// belongs to, and their running max of `hi`; fixed for the whole call.
+  std::vector<Interval> windows;
+  std::vector<JobId> window_ids;
+  std::vector<Time> window_reach;
+  /// By id: 1 while some interval touching the job's window has moved
+  /// since the job was last evaluated.
+  std::vector<std::uint8_t> dirty;
   /// Union of everyone else's intervals near one job's window.
   std::vector<Interval> others;
   /// The greedy's union of already-placed intervals.
   IntervalSet placed;
   std::vector<Time> candidates;
-  Time max_length;
+};
+
+/// Coordinate-descent counts, summed over one heuristic_optimal call.
+struct DescentStats {
+  std::uint64_t evals = 0;
+  std::uint64_t skips = 0;
+  std::uint64_t moves = 0;
 };
 
 Time clamp_time(Time value, Time lo, Time hi) {
@@ -35,6 +60,24 @@ Time clamp_time(Time value, Time lo, Time hi) {
 /// interval inside it.
 Interval window_of(const Job& j) {
   return Interval(j.arrival, j.latest_completion());
+}
+
+/// Fills `reach` with the running max of `hi` over a lo-sorted list.
+void build_reach(const std::vector<Interval>& sorted,
+                 std::vector<Time>& reach) {
+  reach.resize(sorted.size());
+  Time hi = Time::min();
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    hi = std::max(hi, sorted[i].hi);
+    reach[i] = hi;
+  }
+}
+
+/// Where a scan of a lo-sorted list for intervals ending at or after `lo`
+/// starts, given its `reach`: every interval before it ends before `lo`.
+std::size_t first_reaching(const std::vector<Time>& reach, Time lo) {
+  return static_cast<std::size_t>(
+      std::lower_bound(reach.begin(), reach.end(), lo) - reach.begin());
 }
 
 /// The slice of a sorted, disjoint component list that touches `window`.
@@ -103,7 +146,20 @@ void greedy(const Instance& inst, const std::vector<JobId>& order,
   }
 }
 
-/// Loads ws.intervals and ws.sorted from `starts`.
+/// Loads ws.windows, ws.window_ids and ws.window_reach from the ids in
+/// arrival order (a window's lo is its job's arrival); once per call.
+void load_windows(const Instance& inst, const std::vector<JobId>& by_arrival,
+                  Workspace& ws) {
+  ws.window_ids = by_arrival;
+  ws.windows.clear();
+  for (const JobId id : ws.window_ids) {
+    ws.windows.push_back(window_of(inst.job(id)));
+  }
+  build_reach(ws.windows, ws.window_reach);
+}
+
+/// Loads ws.intervals, ws.sorted and ws.sorted_reach from `starts`, and
+/// marks every job dirty.
 void load_intervals(const Instance& inst, const std::vector<Time>& starts,
                     Workspace& ws) {
   ws.intervals.resize(inst.size());
@@ -113,23 +169,22 @@ void load_intervals(const Instance& inst, const std::vector<Time>& starts,
   ws.sorted.assign(ws.intervals.begin(), ws.intervals.end());
   std::sort(ws.sorted.begin(), ws.sorted.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  build_reach(ws.sorted, ws.sorted_reach);
+  ws.dirty.assign(inst.size(), 1);
 }
 
 /// Merges into ws.others the union of the intervals that touch `window`,
-/// minus one copy of job `id`'s own. Such an interval ends at or after
-/// window.lo, so it starts at or after window.lo - max p: binary-search
-/// there, then scan the lo-sorted list to window.hi. Inside the window
-/// this union equals the whole "everyone else" union, and outside it its
-/// component endpoints clamp to the same candidates.
+/// minus one copy of job `id`'s own. The scan starts where the running
+/// max of `hi` first reaches window.lo (every earlier interval ends before
+/// the window) and walks the lo-sorted list to window.hi. Inside the
+/// window this union equals the whole "everyone else" union, and outside
+/// it its component endpoints clamp to the same candidates.
 void merge_others_near(JobId id, const Interval& window, Workspace& ws) {
   ws.others.clear();
-  const Time scan_from = window.lo.saturating_sub(ws.max_length);
-  auto it = std::lower_bound(
-      ws.sorted.begin(), ws.sorted.end(), scan_from,
-      [](const Interval& iv, Time lo) { return iv.lo < lo; });
   bool skipped = false;
-  for (; it != ws.sorted.end() && it->lo <= window.hi; ++it) {
-    const Interval& iv = *it;
+  for (std::size_t i = first_reaching(ws.sorted_reach, window.lo);
+       i < ws.sorted.size() && ws.sorted[i].lo <= window.hi; ++i) {
+    const Interval& iv = ws.sorted[i];
     if (iv.hi < window.lo) {
       continue;
     }
@@ -145,11 +200,32 @@ void merge_others_near(JobId id, const Interval& window, Workspace& ws) {
   }
 }
 
-/// One full coordinate-descent pass; returns true if any job moved.
+/// Marks dirty every job whose closed window touches `iv`, the same test
+/// merge_others_near applies to decide what a job's "others" union holds.
+void mark_windows_touching(const Interval& iv, Workspace& ws) {
+  for (std::size_t i = first_reaching(ws.window_reach, iv.lo);
+       i < ws.windows.size() && ws.windows[i].lo <= iv.hi; ++i) {
+    if (ws.windows[i].touches(iv)) {
+      ws.dirty[ws.window_ids[i]] = 1;
+    }
+  }
+}
+
+/// One coordinate-descent pass; returns true if any job moved. A clean
+/// job is skipped: its own interval and every interval touching its
+/// window are as they were at its last evaluation, which found no strict
+/// improvement, so it would find none now.
 bool improve_pass(const Instance& inst, const std::vector<JobId>& order,
-                  Workspace& ws, std::vector<Time>& starts) {
+                  Workspace& ws, std::vector<Time>& starts,
+                  DescentStats& stats) {
   bool moved = false;
   for (const JobId id : order) {
+    if (ws.dirty[id] == 0) {
+      ++stats.skips;
+      continue;
+    }
+    ws.dirty[id] = 0;
+    ++stats.evals;
     const Job j = inst.job(id);
     merge_others_near(id, window_of(j), ws);
     const Time current_marginal =
@@ -161,6 +237,12 @@ bool improve_pass(const Instance& inst, const std::vector<JobId>& order,
       starts[id] = best_start;
       ws.intervals[id] = j.active_interval(best_start);
       IntervalSet::replace_in_sorted(ws.sorted, old_iv, ws.intervals[id]);
+      build_reach(ws.sorted, ws.sorted_reach);
+      mark_windows_touching(old_iv, ws);
+      mark_windows_touching(ws.intervals[id], ws);
+      // The mover sits at its first minimum against an unchanged union.
+      ws.dirty[id] = 0;
+      ++stats.moves;
       moved = true;
     }
   }
@@ -176,12 +258,14 @@ HeuristicResult heuristic_optimal(const Instance& instance,
   }
   Rng rng(options.seed);
 
+  const std::vector<JobId> by_deadline = instance.ids_by_deadline();
+  const std::vector<JobId> by_arrival = instance.ids_by_arrival();
   std::vector<std::vector<JobId>> orders;
-  orders.push_back(instance.ids_by_deadline());
-  orders.push_back(instance.ids_by_arrival());
+  orders.push_back(by_deadline);
+  orders.push_back(by_arrival);
   // Longest-first greedy tends to build good "anchors" for short jobs.
   {
-    std::vector<JobId> by_length = instance.ids_by_deadline();
+    std::vector<JobId> by_length = by_deadline;
     std::stable_sort(by_length.begin(), by_length.end(),
                      [&](JobId a, JobId b) {
                        return instance.job(a).length > instance.job(b).length;
@@ -189,23 +273,24 @@ HeuristicResult heuristic_optimal(const Instance& instance,
     orders.push_back(std::move(by_length));
   }
   for (int r = 0; r < options.restarts; ++r) {
-    std::vector<JobId> shuffled = instance.ids_by_arrival();
+    std::vector<JobId> shuffled = by_arrival;
     rng.shuffle(shuffled);
     orders.push_back(std::move(shuffled));
   }
 
   Workspace ws;
-  ws.max_length = instance.max_length();
+  load_windows(instance, by_arrival, ws);
+  DescentStats stats;
   Time best_span = Time::max();
   std::vector<Time> best_starts;
   std::vector<Time> starts(instance.size());
-  std::vector<JobId> pass_order = instance.ids_by_deadline();
+  std::vector<JobId> pass_order = by_deadline;
   for (const auto& order : orders) {
     greedy(instance, order, ws, starts);
     load_intervals(instance, starts, ws);
     for (int pass = 0; pass < options.max_passes; ++pass) {
       rng.shuffle(pass_order);
-      if (!improve_pass(instance, pass_order, ws, starts)) {
+      if (!improve_pass(instance, pass_order, ws, starts, stats)) {
         break;
       }
     }
@@ -217,6 +302,10 @@ HeuristicResult heuristic_optimal(const Instance& instance,
       best_starts = starts;
     }
   }
+
+  g_tm_descent_evals.add(stats.evals);
+  g_tm_descent_skips.add(stats.skips);
+  g_tm_descent_moves.add(stats.moves);
 
   Schedule schedule = Schedule::from_starts(best_starts);
   schedule.validate(instance);

@@ -423,8 +423,7 @@ JsonValue snapshot_json(const Snapshot& snapshot, bool deterministic_only) {
     if (deterministic_only && counter.stability != Stability::kDeterministic) {
       continue;
     }
-    counters.set(counter.name,
-                 JsonValue::number(static_cast<double>(counter.value)));
+    counters.set(counter.name, JsonValue::unsigned_integer(counter.value));
   }
   JsonValue histograms = JsonValue::object();
   for (const HistogramValue& hist : snapshot.histograms) {
@@ -432,13 +431,11 @@ JsonValue snapshot_json(const Snapshot& snapshot, bool deterministic_only) {
       continue;
     }
     JsonValue obj = JsonValue::object();
-    obj.set("count", JsonValue::number(static_cast<double>(hist.count)));
-    obj.set("sum", JsonValue::number(static_cast<double>(hist.sum)));
-    obj.set("max", JsonValue::number(static_cast<double>(hist.max)));
-    obj.set("p50", JsonValue::number(
-                       static_cast<double>(bucket_quantile(hist, 0.50))));
-    obj.set("p99", JsonValue::number(
-                       static_cast<double>(bucket_quantile(hist, 0.99))));
+    obj.set("count", JsonValue::unsigned_integer(hist.count));
+    obj.set("sum", JsonValue::unsigned_integer(hist.sum));
+    obj.set("max", JsonValue::unsigned_integer(hist.max));
+    obj.set("p50", JsonValue::unsigned_integer(bucket_quantile(hist, 0.50)));
+    obj.set("p99", JsonValue::unsigned_integer(bucket_quantile(hist, 0.99)));
     histograms.set(hist.name, std::move(obj));
   }
   JsonValue doc = JsonValue::object();

@@ -66,6 +66,34 @@ std::vector<GoldenRow> compute_rows() {
                                   instance, HeuristicOptions{}));
     }
   }
+  // n = 1000: descents run many passes, so most evaluations are of jobs
+  // whose window has not changed since their last one.
+  for (std::size_t f = 0; f < suite.size(); ++f) {
+    WorkloadConfig config = suite[f].config;
+    config.job_count = 1000;
+    const Instance instance = generate_workload(config, 2000 + f);
+    rows.push_back(run_instance(suite[f].name + "/1000", instance,
+                                HeuristicOptions{}));
+  }
+  // One job about 50x longer than the rest (mean length 2.5 units): its
+  // interval reaches across the windows of many jobs that start after it,
+  // so the scans that look back for it must start at or before its slot.
+  {
+    WorkloadConfig config = suite[0].config;
+    config.job_count = 300;
+    const Instance base = generate_workload(config, 3000);
+    std::vector<Job> jobs;
+    for (JobId id = 0; id < base.size(); ++id) {
+      jobs.push_back(base.job(id));
+    }
+    Job long_job;
+    long_job.arrival = base.earliest_arrival() + Time::from_units(30.0);
+    long_job.deadline = long_job.arrival + Time::from_units(20.0);
+    long_job.length = Time::from_units(125.0);
+    jobs.push_back(long_job);
+    rows.push_back(run_instance("one-long-job/301", Instance(std::move(jobs)),
+                                HeuristicOptions{}));
+  }
   // The exact solver's incumbent seed: no restarts, at most 8 passes.
   HeuristicOptions seeding;
   seeding.restarts = 0;
@@ -111,6 +139,15 @@ const std::vector<GoldenRow> kExpected = {
     {"rigid/300", 157943622, 0xd6d01695eb761904ULL},
     {"proportional-lax/300", 94955499, 0x288d5654c240c7a1ULL},
     {"sparse/300", 476524488, 0x14f9e4566ad4b27bULL},
+    {"uniform-lo-lax/1000", 488325028, 0x6f665ffaf3f9cb6cULL},
+    {"uniform-hi-lax/1000", 396140203, 0xa6a724d382121ecfULL},
+    {"bimodal/1000", 487534253, 0xdfc5294bb0bddc0eULL},
+    {"heavy-tail/1000", 459621001, 0x6b4b71535aab7128ULL},
+    {"bursty/1000", 386271365, 0x38937fa29f5157fcULL},
+    {"rigid/1000", 501046394, 0x646f79d05bf62141ULL},
+    {"proportional-lax/1000", 329051604, 0x99effd1cf95fb780ULL},
+    {"sparse/1000", 1487196848, 0x9f2087de7374c57fULL},
+    {"one-long-job/301", 164782367, 0x65a9ddbd8b16c692ULL},
     {"integral15/uniform-lo-lax", 10000000, 0xdf51ac5bcd00066eULL},
     {"integral15/uniform-hi-lax", 10000000, 0xde746ffe1872e3d8ULL},
     {"integral15/bimodal", 7000000, 0x12554b2db4628ddcULL},

@@ -7,6 +7,7 @@
 // registration per binary run, never per test invocation).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +184,38 @@ TEST(Telemetry, SnapshotJsonFiltersTimingMetricsWhenAskedTo) {
   EXPECT_DOUBLE_EQ(h.get("p99").as_number(), 4.0);
   // The block dumps byte-identically given the same snapshot.
   EXPECT_EQ(snapshot_json(snap, true).dump(), stable.dump());
+}
+
+TEST(Telemetry, SnapshotJsonKeepsIntegersAbove2Pow53Exact) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  const std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+  Snapshot snap;
+  snap.counters.push_back({"big.c", Stability::kDeterministic, big});
+  snap.counters.push_back(
+      {"top.c", Stability::kDeterministic, ~std::uint64_t{0}});
+  HistogramValue hist;
+  hist.name = "big.h";
+  hist.stability = Stability::kDeterministic;
+  hist.count = big;
+  hist.sum = ~std::uint64_t{0} - 2;
+  hist.max = big + 2;
+  hist.buckets.assign(kHistogramBuckets, 0);
+  hist.buckets[54] = big;  // every sample in [2^53, 2^54)
+  snap.histograms.push_back(hist);
+
+  const std::string text = snapshot_json(snap, true).dump();
+  EXPECT_NE(text.find("\"big.c\": 9007199254740993"), std::string::npos);
+  const JsonValue parsed = JsonValue::parse(text);
+  EXPECT_EQ(parsed.get("counters").get("big.c").as_unsigned(), big);
+  EXPECT_EQ(parsed.get("counters").get("top.c").as_unsigned(),
+            ~std::uint64_t{0});
+  const JsonValue& h = parsed.get("histograms").get("big.h");
+  EXPECT_EQ(h.get("count").as_unsigned(), big);
+  EXPECT_EQ(h.get("sum").as_unsigned(), ~std::uint64_t{0} - 2);
+  EXPECT_EQ(h.get("max").as_unsigned(), big + 2);
+  EXPECT_EQ(h.get("p50").as_unsigned(), std::uint64_t{1} << 53);
+  EXPECT_EQ(h.get("p99").as_unsigned(), std::uint64_t{1} << 53);
+  EXPECT_EQ(parsed.dump(), text);
 }
 
 TEST(Telemetry, TraceRecorderRoundTripsThroughChromeJson) {
