@@ -57,16 +57,19 @@ fi
 scripts/run_clang_tidy.sh 2>&1 | tee -a test_output.txt
 
 # Sanitizer smoke: the offline certification stack (exact solver, bounds,
-# miner, differential pins), the columnar job table's stat loops, plus the
-# fuzz harness under ASan+UBSan. Fast mode — only the tests whose memory
-# behavior recent PRs changed, not the full suite.
+# miner, differential pins), the columnar job table's stat loops, the
+# engine's replays (which read job columns borrowed from
+# PreparedInstance) and the span tracker, plus the fuzz harness under
+# ASan+UBSan. Fast mode — only the tests whose memory behavior recent PRs
+# changed, not the full suite.
 cmake --preset asan-ubsan
 cmake --build build-asan --target \
   test_core_job_table test_offline_exact test_offline_bounds \
   test_offline_heuristic test_adversary_miner test_differential \
-  test_bugfix_regressions fjs_fuzz
+  test_bugfix_regressions test_sim_engine test_sim_portfolio \
+  test_golden_trace test_core_span_tracker test_engine_errors fjs_fuzz
 ctest --test-dir build-asan --output-on-failure \
-  -R 'test_core_job_table|test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_bugfix_regressions' \
+  -R 'test_core_job_table|test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_bugfix_regressions|test_sim_engine|test_sim_portfolio|test_golden_trace|test_core_span_tracker|test_engine_errors' \
   2>&1 | tee -a test_output.txt
 # The same fuzz smoke under the sanitizers (undefined behavior in an
 # oracle or scheduler fails the run even when spans agree).

@@ -446,24 +446,14 @@ Oracle view_vs_owned_oracle() {
             view_prep.original_ids() != owned_prep.original_ids()) {
           return std::string("prepared id maps differ");
         }
-        for (std::size_t i = 0; i < owned_prep.size(); ++i) {
-          const Job a = view_prep.records()[i].job;
-          const Job b = owned_prep.records()[i].job;
-          if (a.id != b.id || a.arrival != b.arrival ||
-              a.deadline != b.deadline || a.length != b.length) {
-            return "prepared job record " + std::to_string(i) + " differs";
-          }
-        }
-        if (view_prep.staged().size() != owned_prep.staged().size()) {
-          return std::string("staged timelines differ in length");
-        }
-        for (std::size_t i = 0; i < owned_prep.staged().size(); ++i) {
-          const Event& a = view_prep.staged()[i];
-          const Event& b = owned_prep.staged()[i];
-          if (a.time != b.time || a.seq != b.seq || a.tag != b.tag ||
-              a.job != b.job || a.kind != b.kind) {
-            return "staged event " + std::to_string(i) + " differs";
-          }
+        const auto column_differs = [](std::span<const Time> a,
+                                       std::span<const Time> b) {
+          return !std::equal(a.begin(), a.end(), b.begin(), b.end());
+        };
+        if (column_differs(view_prep.arrivals(), owned_prep.arrivals()) ||
+            column_differs(view_prep.deadlines(), owned_prep.deadlines()) ||
+            column_differs(view_prep.lengths(), owned_prep.lengths())) {
+          return std::string("prepared columns differ");
         }
         // Spans: the view-based single-entry replay (the miner's hot loop)
         // against the owning-path replay, in both clairvoyance models.

@@ -20,22 +20,6 @@ telemetry::Histogram g_tm_heap_depth{"engine.heap_depth",
 
 }  // namespace
 
-namespace {
-
-/// Min-heap ordering used by the 4-ary event heap; the strict-weak mirror
-/// of EventAfter (earliest time, then kind, then insertion order first).
-inline bool event_before(const Event& a, const Event& b) {
-  if (a.time != b.time) {
-    return a.time < b.time;
-  }
-  if (a.kind != b.kind) {
-    return same_tick_rank(a.kind) < same_tick_rank(b.kind);
-  }
-  return a.seq < b.seq;
-}
-
-}  // namespace
-
 namespace detail {
 
 Time EngineContext::now() const { return engine_.now_; }
@@ -45,8 +29,10 @@ bool EngineContext::clairvoyant() const {
 }
 
 JobView EngineContext::view(JobId id) const {
-  const EngineJobRecord& r = engine_.record(id);
-  return JobView{.id = id, .arrival = r.job.arrival, .deadline = r.job.deadline};
+  (void)engine_.record(id);  // bounds check
+  return JobView{.id = id,
+                 .arrival = engine_.arrival_[id],
+                 .deadline = engine_.deadline_[id]};
 }
 
 Time EngineContext::length_of(JobId id) const {
@@ -54,7 +40,7 @@ Time EngineContext::length_of(JobId id) const {
               "length_of called in non-clairvoyant mode");
   const EngineJobRecord& r = engine_.record(id);
   FJS_CHECK(r.length_known, "clairvoyant job without a known length");
-  return r.job.length;
+  return engine_.length_[id];
 }
 
 bool EngineContext::is_pending(JobId id) const {
@@ -73,11 +59,7 @@ void EngineContext::start_job(JobId id) { engine_.start_job(id); }
 
 void EngineContext::set_timer(Time t, std::uint64_t tag) {
   FJS_REQUIRE(t >= engine_.now_, "set_timer: time in the past");
-  engine_.push(Event{.time = t,
-                     .seq = 0,
-                     .tag = tag,
-                     .job = kInvalidJob,
-                     .kind = EventKind::kSchedulerTimer});
+  engine_.push(EventKind::kSchedulerTimer, t, kInvalidJob, tag);
 }
 
 }  // namespace detail
@@ -96,14 +78,13 @@ Engine::Engine(JobSource& source, LengthOracle& oracle,
   if (options_.reserve_jobs > 0) {
     const std::size_t n = options_.reserve_jobs;
     jobs_.reserve(n);
-    pending_.reserve(n);
-    running_.reserve(n);
     pending_view_.reserve(n);
     running_view_.reserve(n);
-    staged_.reserve(n);
-    // With arrivals staged, heap occupancy tracks outstanding jobs (their
-    // deadline + completion events), not total jobs; still reserve for the
-    // worst case so adversarial sources never reallocate mid-run.
+    // With arrivals outside the heap, heap occupancy tracks outstanding
+    // jobs (their deadline + completion events), not total jobs; still
+    // reserve for the worst case so adversarial sources never reallocate
+    // mid-run. The release-path buffers are reserved in drive(), only if
+    // the run was not preloaded.
     heap_.reserve(2 * n + 16);
   }
 }
@@ -114,19 +95,13 @@ void Engine::adopt_workspace() {
   if (workspace_ == nullptr) {
     return;
   }
-  jobs_.swap(workspace_->jobs_);
-  heap_.swap(workspace_->heap_);
-  staged_.swap(workspace_->staged_);
-  pending_.swap(workspace_->pending_);
-  running_.swap(workspace_->running_);
-  pending_view_.swap(workspace_->pending_view_);
-  running_view_.swap(workspace_->running_view_);
-  std::swap(span_, workspace_->span_);
+  swap_workspace();
   jobs_.clear();
+  released_arrival_.clear();
+  released_deadline_.clear();
+  released_length_.clear();
   heap_.clear();
   staged_.clear();
-  pending_.clear();
-  running_.clear();
   pending_view_.clear();
   running_view_.clear();
   span_.clear();
@@ -136,39 +111,76 @@ void Engine::recycle_workspace() {
   if (workspace_ == nullptr) {
     return;
   }
-  jobs_.swap(workspace_->jobs_);
-  heap_.swap(workspace_->heap_);
-  staged_.swap(workspace_->staged_);
-  pending_.swap(workspace_->pending_);
-  running_.swap(workspace_->running_);
-  pending_view_.swap(workspace_->pending_view_);
-  running_view_.swap(workspace_->running_view_);
-  std::swap(span_, workspace_->span_);
+  swap_workspace();
   workspace_ = nullptr;
 }
 
-void Engine::preload_static(
-    const std::vector<detail::EngineJobRecord>& records,
-    const std::vector<Event>& staged) {
+void Engine::swap_workspace() {
+  jobs_.swap(workspace_->jobs_);
+  released_arrival_.swap(workspace_->released_arrival_);
+  released_deadline_.swap(workspace_->released_deadline_);
+  released_length_.swap(workspace_->released_length_);
+  heap_.swap(workspace_->heap_);
+  staged_.swap(workspace_->staged_);
+  pending_view_.swap(workspace_->pending_view_);
+  running_view_.swap(workspace_->running_view_);
+  std::swap(span_, workspace_->span_);
+}
+
+void Engine::preload_static(std::span<const Time> arrivals,
+                            std::span<const Time> deadlines,
+                            std::span<const Time> lengths) {
   FJS_REQUIRE(!started_ && jobs_.empty() && staged_.empty() && heap_.empty(),
               "preload_static: engine already holds jobs or events");
-  FJS_REQUIRE(records.size() == staged.size(),
-              "preload_static: one staged arrival per job record");
-  // Copy-assignment reuses the adopted workspace capacity: once warm, a
-  // preload is two memcpy-sized copies and no allocation.
-  jobs_ = records;
-  staged_ = staged;
-  next_seq_ = static_cast<std::uint64_t>(staged_.size());
+  FJS_REQUIRE(arrivals.size() == deadlines.size() &&
+                  arrivals.size() == lengths.size(),
+              "preload_static: columns differ in length");
+  const std::size_t n = arrivals.size();
+  // assign() reuses the adopted workspace capacity: once warm, a preload
+  // writes n small records and allocates nothing.
+  JobRecord known;
+  known.length_known = true;
+  jobs_.assign(n, known);
+  arrival_ = arrivals.data();
+  deadline_ = deadlines.data();
+  length_ = lengths.data();
+  preloaded_ = true;
+  staged_end_ = n;
+  next_seq_ = static_cast<std::uint64_t>(n);
 }
 
-Engine::JobRecord& Engine::record(JobId id) {
-  FJS_REQUIRE(id < jobs_.size(), "engine: unknown job id");
-  return jobs_[id];
+Job Engine::job_of(JobId id) const {
+  return Job{.id = id,
+             .arrival = arrival_[id],
+             .deadline = deadline_[id],
+             .length = length_[id]};
 }
 
-void Engine::push(Event event) {
-  event.seq = next_seq_++;
-  heap_insert(event);
+void Engine::set_length(JobId id, Time length) {
+  // Only released jobs can have a deferred length: preloaded ones are
+  // known from the start.
+  released_length_[id] = length;
+  jobs_[id].length_known = true;
+}
+
+void Engine::push(EventKind kind, Time time, JobId job, std::uint64_t tag) {
+  heap_insert(Event{.time = time,
+                    .tie = tie_word(kind, next_seq_++),
+                    .tag = tag,
+                    .job = job,
+                    .kind = kind});
+}
+
+Event Engine::staged_event(std::size_t i) const {
+  if (preloaded_) {
+    // Exactly the event StaticSource's release of job i would have staged.
+    return Event{.time = arrival_[i],
+                 .tie = tie_word(EventKind::kArrival, i),
+                 .tag = 0,
+                 .job = static_cast<JobId>(i),
+                 .kind = EventKind::kArrival};
+  }
+  return staged_[i];
 }
 
 void Engine::heap_insert(const Event& event) {
@@ -220,35 +232,10 @@ Event Engine::pop_event() {
   return top;
 }
 
-void Engine::list_push(std::vector<JobId>& list, std::vector<JobId>& view,
-                       JobId id) {
-  JobRecord& rec = jobs_[id];
-  rec.order = next_order_++;
-  rec.slot = static_cast<std::uint32_t>(list.size());
-  list.push_back(id);
-  // The new id carries the largest order rank, so appending keeps the view
-  // in rank order; removals only mark the view dirty and are filtered out
-  // lazily (compact_view), never re-sorted.
-  view.push_back(id);
-}
-
-void Engine::list_remove(std::vector<JobId>& list, bool& view_dirty,
-                         JobId id) {
-  JobRecord& rec = jobs_[id];
-  const std::uint32_t slot = rec.slot;
-  FJS_CHECK(slot < list.size() && list[slot] == id,
-            "engine: job missing from its membership list");
-  const JobId moved = list.back();
-  list[slot] = moved;
-  jobs_[moved].slot = slot;
-  list.pop_back();
-  view_dirty = true;
-}
-
 void Engine::compact_view(std::vector<JobId>& view, JobState wanted) const {
   // Jobs enter each view at most once (pending at arrival, running at
   // start) and never return to an earlier state, so dropping the ids that
-  // moved on leaves exactly the current members, still in rank order.
+  // moved on leaves exactly the current members, still in order.
   // Each id is appended once and erased once: amortized O(1) per
   // transition, where a sort-based rebuild would pay O(k log k) per query.
   std::erase_if(view,
@@ -279,7 +266,7 @@ void Engine::trace_event(Time t, EventKind kind, JobId job,
   }
 }
 
-void Engine::release(const JobSpec& spec) {
+void Engine::release(JobId id, const JobSpec& spec) {
   FJS_REQUIRE(!started_ || spec.arrival >= now_,
               "source released a job in the past");
   FJS_REQUIRE(spec.arrival <= spec.deadline,
@@ -296,16 +283,12 @@ void Engine::release(const JobSpec& spec) {
     FJS_REQUIRE(!options_.clairvoyant,
                 "clairvoyant run requires lengths at release");
   }
-  const auto id = static_cast<JobId>(jobs_.size());
-  JobRecord rec;
-  rec.job = Job{.id = id,
-                .arrival = spec.arrival,
-                .deadline = spec.deadline,
-                .length = spec.length.value_or(Time::zero())};
-  rec.length_known = spec.length.has_value();
-  jobs_.push_back(rec);
+  jobs_[id].length_known = spec.length.has_value();
+  released_arrival_[id] = spec.arrival;
+  released_deadline_[id] = spec.deadline;
+  released_length_[id] = spec.length.value_or(Time::zero());
   const Event arrival{.time = spec.arrival,
-                      .seq = next_seq_++,
+                      .tie = tie_word(EventKind::kArrival, next_seq_++),
                       .tag = 0,
                       .job = id,
                       .kind = EventKind::kArrival};
@@ -313,27 +296,37 @@ void Engine::release(const JobSpec& spec) {
   // replays sort up front; adaptive sources release at >= now). Those go
   // to the FIFO staging vector so the heap never sees them; an
   // out-of-order release falls back to the heap. pop order is identical
-  // either way — both structures are merged by (time, kind, seq).
+  // either way — both structures are merged by (time, tie word).
   if (staged_head_ >= staged_.size() ||
       spec.arrival >= staged_.back().time) {
     staged_.push_back(arrival);
+    staged_end_ = staged_.size();
   } else {
     heap_insert(arrival);
   }
 }
 
 void Engine::apply(const SourceAction& action) {
-  for (const JobSpec& spec : action.releases) {
-    release(spec);
+  if (!action.releases.empty()) {
+    // Grow the job storage once per batch (a static replay releases every
+    // job in one batch), then fill it in release order.
+    const std::size_t first = jobs_.size();
+    const std::size_t n = first + action.releases.size();
+    jobs_.resize(n);
+    released_arrival_.resize(n);
+    released_deadline_.resize(n);
+    released_length_.resize(n);
+    arrival_ = released_arrival_.data();
+    deadline_ = released_deadline_.data();
+    length_ = released_length_.data();
+    for (std::size_t k = 0; k < action.releases.size(); ++k) {
+      release(static_cast<JobId>(first + k), action.releases[k]);
+    }
   }
   if (action.wakeup.has_value()) {
     FJS_REQUIRE(!started_ || *action.wakeup >= now_,
                 "source wakeup in the past");
-    push(Event{.time = *action.wakeup,
-               .seq = 0,
-               .tag = 0,
-               .job = kInvalidJob,
-               .kind = EventKind::kSourceWakeup});
+    push(EventKind::kSourceWakeup, *action.wakeup, kInvalidJob);
   }
 }
 
@@ -341,23 +334,21 @@ void Engine::start_job(JobId id) {
   JobRecord& rec = record(id);
   FJS_REQUIRE(rec.state == JobState::kPending,
               "start_job: job is not pending");
-  FJS_REQUIRE(now_ >= rec.job.arrival, "start_job: before arrival");
-  FJS_REQUIRE(now_ <= rec.job.deadline,
-              "start_job: job " + rec.job.to_string() +
+  FJS_REQUIRE(now_ >= arrival_[id], "start_job: before arrival");
+  FJS_REQUIRE(now_ <= deadline_[id],
+              "start_job: job " + job_of(id).to_string() +
                   " started after its starting deadline");
   rec.state = JobState::kRunning;
   rec.start = now_;
-  list_remove(pending_, pending_view_dirty_, id);
-  list_push(running_, running_view_, id);
+  // Appending keeps each view in its order; removals only mark the view
+  // dirty and are filtered out lazily (compact_view), never re-sorted.
+  pending_view_dirty_ = true;
+  running_view_.push_back(id);
   trace_event(now_, EventKind::kStart, id, 0);
 
   if (rec.length_known) {
-    span_.add(Interval::from_length(now_, rec.job.length));
-    push(Event{.time = now_ + rec.job.length,
-               .seq = 0,
-               .tag = 0,
-               .job = id,
-               .kind = EventKind::kCompletion});
+    span_.add(Interval::from_length(now_, length_[id]));
+    push(EventKind::kCompletion, now_ + length_[id], id);
   } else {
     const LengthOracle::StartDecision decision = oracle_.at_start(id, now_);
     if (decision.length.has_value()) {
@@ -366,32 +357,27 @@ void Engine::start_job(JobId id) {
       FJS_REQUIRE(now_ <= Time::max() - *decision.length,
                   "oracle returned a length whose completion overflows "
                   "the time axis");
-      rec.job.length = *decision.length;
-      rec.length_known = true;
-      span_.add(Interval::from_length(now_, rec.job.length));
-      push(Event{.time = now_ + rec.job.length,
-                 .seq = 0,
-                 .tag = 0,
-                 .job = id,
-                 .kind = EventKind::kCompletion});
+      set_length(id, *decision.length);
+      span_.add(Interval::from_length(now_, *decision.length));
+      push(EventKind::kCompletion, now_ + *decision.length, id);
     } else {
       FJS_REQUIRE(decision.decide_at > now_,
                   "oracle deferral must be strictly in the future");
-      push(Event{.time = decision.decide_at,
-                 .seq = 0,
-                 .tag = 0,
-                 .job = id,
-                 .kind = EventKind::kLengthDecision});
+      push(EventKind::kLengthDecision, decision.decide_at, id);
     }
   }
 
-  apply(source_.on_start(id, now_));
+  if (!preloaded_) {
+    apply(source_.on_start(id, now_));
+  }
 }
 
 void Engine::process(const Event& event) {
+  // Job ids on queued events were assigned by the engine itself, so they
+  // index jobs_ without the range check scheduler-supplied ids get.
   switch (event.kind) {
     case EventKind::kLengthDecision: {
-      JobRecord& rec = record(event.job);
+      JobRecord& rec = jobs_[event.job];
       FJS_CHECK(rec.state == JobState::kRunning && !rec.length_known,
                 "length decision for a non-running or decided job");
       const Time length = oracle_.decide(event.job, now_);
@@ -404,44 +390,51 @@ void Engine::process(const Event& event) {
                   "the time axis");
       FJS_REQUIRE(rec.start + length >= now_,
                   "oracle decided a completion in the past");
-      rec.job.length = length;
-      rec.length_known = true;
+      set_length(event.job, length);
       span_.add(Interval::from_length(rec.start, length));
       trace_event(now_, EventKind::kLengthDecision, event.job, length.ticks());
-      push(Event{.time = rec.start + length,
-                 .seq = 0,
-                 .tag = 0,
-                 .job = event.job,
-                 .kind = EventKind::kCompletion});
+      push(EventKind::kCompletion, rec.start + length, event.job);
       break;
     }
     case EventKind::kCompletion: {
-      JobRecord& rec = record(event.job);
+      JobRecord& rec = jobs_[event.job];
       FJS_CHECK(rec.state == JobState::kRunning, "completion of non-running job");
       rec.state = JobState::kDone;
-      list_remove(running_, running_view_dirty_, event.job);
+      running_view_dirty_ = true;
       ++done_count_;
       trace_event(now_, EventKind::kCompletion, event.job,
-                  rec.job.length.ticks());
+                  length_[event.job].ticks());
       scheduler_.on_completion(context_, event.job);
-      apply(source_.on_complete(event.job, now_));
+      if (!preloaded_) {
+        apply(source_.on_complete(event.job, now_));
+      }
       break;
     }
     case EventKind::kArrival: {
-      JobRecord& rec = record(event.job);
-      FJS_CHECK(rec.state == JobState::kPending, "duplicate arrival");
-      list_push(pending_, pending_view_, event.job);
-      push(Event{.time = rec.job.deadline,
-                 .seq = 0,
-                 .tag = 0,
-                 .job = event.job,
-                 .kind = EventKind::kDeadline});
+      FJS_CHECK(jobs_[event.job].state == JobState::kPending,
+                "duplicate arrival");
+      pending_view_.push_back(event.job);
+      // The deadline's place in the pop order is fixed here, before the
+      // scheduler runs; the event is queued only if the job is still
+      // pending afterwards. A started job's deadline pops as a no-op, so
+      // eliding it changes nothing but the heap size; it still counts as
+      // a processed event, keeping event_count independent of elision.
+      const std::uint64_t deadline_seq = next_seq_++;
       trace_event(now_, EventKind::kArrival, event.job, 0);
       scheduler_.on_arrival(context_, event.job);
+      if (jobs_[event.job].state == JobState::kPending) {
+        heap_insert(Event{.time = deadline_[event.job],
+                          .tie = tie_word(EventKind::kDeadline, deadline_seq),
+                          .tag = 0,
+                          .job = event.job,
+                          .kind = EventKind::kDeadline});
+      } else {
+        count_event();
+      }
       break;
     }
     case EventKind::kDeadline: {
-      JobRecord& rec = record(event.job);
+      JobRecord& rec = jobs_[event.job];
       if (rec.state != JobState::kPending) {
         break;  // already started
       }
@@ -449,10 +442,10 @@ void Engine::process(const Event& event) {
       scheduler_.on_deadline(context_, event.job);
       // Re-fetch: the callback may have released jobs (via an adaptive
       // source reacting to starts), reallocating jobs_ under `rec`.
-      const JobRecord& after = record(event.job);
+      const JobRecord& after = jobs_[event.job];
       FJS_REQUIRE(after.state != JobState::kPending,
                   "scheduler " + scheduler_.name() +
-                      " left job " + after.job.to_string() +
+                      " left job " + job_of(event.job).to_string() +
                       " unstarted at its starting deadline");
       break;
     }
@@ -480,29 +473,40 @@ void Engine::drive() {
                     " requires the clairvoyant model");
   }
   scheduler_.reset();
-  apply(source_.begin());
+  // A preloaded run already holds its whole timeline: the source is never
+  // consulted.
+  if (!preloaded_) {
+    if (options_.reserve_jobs > 0) {
+      const std::size_t n = options_.reserve_jobs;
+      released_arrival_.reserve(n);
+      released_deadline_.reserve(n);
+      released_length_.reserve(n);
+      staged_.reserve(n);
+    }
+    apply(source_.begin());
+  }
   started_ = true;
 
-  // Two-source merge: the staged arrival FIFO and the heap are combined
-  // by the same (time, kind, seq) order the heap alone would yield.
+  // Two-source merge: the staged arrivals and the heap are combined by
+  // the same (time, tie word) order the heap alone would yield.
   while (true) {
-    const bool have_staged = staged_head_ < staged_.size();
-    if (!have_staged && heap_.empty()) {
-      break;
-    }
     Event event;
-    if (have_staged &&
-        (heap_.empty() || event_before(staged_[staged_head_], heap_.front()))) {
-      event = staged_[staged_head_++];
-    } else {
+    if (staged_head_ < staged_end_) {
+      event = staged_event(staged_head_);
+      if (heap_.empty() || event_before(event, heap_.front())) {
+        ++staged_head_;
+      } else {
+        event = pop_event();
+      }
+    } else if (!heap_.empty()) {
       event = pop_event();
+    } else {
+      break;
     }
     FJS_CHECK(now_ == Time::min() || event.time >= now_,
               "event time went backwards");
     now_ = event.time;
-    ++event_count_;
-    FJS_REQUIRE(event_count_ <= options_.max_events,
-                "engine exceeded max_events");
+    count_event();
     process(event);
   }
 
@@ -521,9 +525,9 @@ SimulationResult Engine::run() {
   for (JobId id = 0; id < jobs_.size(); ++id) {
     const JobRecord& rec = jobs_[id];
     FJS_CHECK(rec.state == JobState::kDone,
-              "job " + rec.job.to_string() + " did not complete");
+              "job " + job_of(id).to_string() + " did not complete");
     FJS_CHECK(rec.length_known, "job completed without a realized length");
-    realized.push_back(rec.job);
+    realized.push_back(job_of(id));
     schedule.set_start(id, rec.start);
   }
   result.instance = Instance(std::move(realized));

@@ -10,24 +10,30 @@
 //     lengths after starts),
 //   * the OnlineScheduler under test.
 //
-// Throughput notes: pending/running membership uses per-job slot indices
-// with swap-and-pop removal (O(1) per transition); the arrival-order and
-// start-order vectors handed to schedulers are append-ordered views
-// compacted lazily (state filter, never a sort), only when a scheduler
-// asks after a removal. Arrival events whose
-// release times come in nondecreasing order (every static replay) are
-// staged in a FIFO vector and merged against the heap at pop time, so the
-// heap only ever holds the few outstanding deadline/completion/timer
-// events instead of every future arrival — the difference between O(log n)
-// on tens of entries and on tens of thousands. The heap itself is 4-ary
-// over a plain vector so its storage can be reserved and recycled. The
-// running span is maintained incrementally (SpanTracker), so span queries
-// never rebuild the interval union from scratch.
+// Throughput notes: pending/running membership is the job's state; the
+// arrival-order and start-order vectors handed to schedulers are
+// append-ordered views compacted lazily (state filter, never a sort), only
+// when a scheduler asks after a removal. Static job data (arrival,
+// deadline, length) is read through column pointers: a preloaded run
+// borrows the PreparedInstance columns in place, so per run the engine
+// initializes only a 16-byte mutable record per job. Arrivals never enter
+// the heap: a preloaded run reads job i's arrival event straight off the
+// arrival column, and released jobs that come in nondecreasing order are
+// staged in a FIFO vector; either stream is merged against the heap at pop
+// time, so the heap only holds outstanding deadline/completion/timer
+// events. A deadline event is queued only if its job is still pending
+// after the arrival callback (most schedulers start most jobs on arrival,
+// and a started job's deadline is a no-op). The heap is 4-ary over a plain
+// vector so its storage can be reserved and recycled, and orders events by
+// time plus one tie word. The running span is maintained incrementally
+// (SpanTracker, O(1) per start), so span queries never rebuild the
+// interval union from scratch.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/instance.h"
@@ -38,6 +44,7 @@
 #include "sim/scheduler.h"
 #include "sim/source.h"
 #include "sim/trace.h"
+#include "support/assert.h"
 #include "support/object_pool.h"
 
 namespace fjs {
@@ -76,19 +83,13 @@ namespace detail {
 
 enum class EngineJobState : std::uint8_t { kPending, kRunning, kDone };
 
-/// Internal per-job state. Exposed at namespace scope only so
+/// Internal per-job mutable state; the job's static data lives in the
+/// engine's column pointers. Exposed at namespace scope only so
 /// EngineWorkspace can recycle the storage; not a public API.
 struct EngineJobRecord {
-  Job job;  ///< length is only meaningful once length_known
+  Time start;
   EngineJobState state = EngineJobState::kPending;
   bool length_known = false;
-  Time start;
-  /// Index of this job inside pending_ (while pending) or running_
-  /// (while running); meaningless otherwise.
-  std::uint32_t slot = 0;
-  /// Monotone rank assigned at arrival (while pending) and reassigned at
-  /// start (while running); the sorted views order by it.
-  std::uint64_t order = 0;
 };
 
 /// Engine-backed implementation of the scheduler-facing context. Held by
@@ -128,10 +129,11 @@ class EngineWorkspace {
  private:
   friend class Engine;
   std::vector<detail::EngineJobRecord> jobs_;
+  std::vector<Time> released_arrival_;
+  std::vector<Time> released_deadline_;
+  std::vector<Time> released_length_;
   std::vector<Event> heap_;
   std::vector<Event> staged_;
-  std::vector<JobId> pending_;
-  std::vector<JobId> running_;
   std::vector<JobId> pending_view_;
   std::vector<JobId> running_view_;
   SpanTracker span_;
@@ -161,16 +163,19 @@ class Engine {
   /// without materializing an Instance/Schedule pair.
   Time run_span(std::vector<Time>* starts_out = nullptr);
 
-  /// Portfolio fast path: installs a prebuilt job-record template and the
-  /// matching staged arrival events (seq 0..n-1, nondecreasing times)
-  /// exactly as a StaticSource release stream would have produced them,
-  /// without consulting a source. Both vectors are copied into recycled
-  /// storage — zero allocations once the workspace is warm. Must be called
-  /// before run()/run_span(), with an empty engine, and the run's
-  /// JobSource must release nothing (use a null source). See
-  /// sim/portfolio.h for the public wrapper.
-  void preload_static(const std::vector<detail::EngineJobRecord>& records,
-                      const std::vector<Event>& staged);
+  /// Portfolio fast path: installs n prevalidated jobs, engine id i being
+  /// (arrivals[i], deadlines[i], lengths[i]) with arrivals nondecreasing,
+  /// exactly as a StaticSource release stream would have produced them
+  /// (job i's arrival carries seq i), without consulting a source. The
+  /// columns are borrowed, not copied: they must outlive the run. Only
+  /// the per-job mutable state is initialized, in recycled storage, so a
+  /// warm workspace makes this allocation-free. Must be called before
+  /// run()/run_span(), with an empty engine; the run never consults its
+  /// JobSource (pass a null source). See sim/portfolio.h for the public
+  /// wrapper.
+  void preload_static(std::span<const Time> arrivals,
+                      std::span<const Time> deadlines,
+                      std::span<const Time> lengths);
 
  private:
   friend class detail::EngineContext;
@@ -180,20 +185,29 @@ class Engine {
 
   void adopt_workspace();
   void recycle_workspace();
+  void swap_workspace();
   void apply(const SourceAction& action);
-  void release(const JobSpec& spec);
-  void push(Event event);
+  void release(JobId id, const JobSpec& spec);
+  void push(EventKind kind, Time time, JobId job, std::uint64_t tag = 0);
   void heap_insert(const Event& event);
   Event pop_event();
+  Event staged_event(std::size_t i) const;
+  void count_event() {
+    ++event_count_;
+    FJS_REQUIRE(event_count_ <= options_.max_events,
+                "engine exceeded max_events");
+  }
+  Job job_of(JobId id) const;
+  void set_length(JobId id, Time length);
   void start_job(JobId id);
   void process(const Event& event);
   void drive();
   void trace_event(Time t, EventKind kind, JobId job, std::int64_t detail);
-  JobRecord& record(JobId id);
-
-  /// O(1) membership update helpers (swap-and-pop + slot fixup).
-  void list_push(std::vector<JobId>& list, std::vector<JobId>& view, JobId id);
-  void list_remove(std::vector<JobId>& list, bool& view_dirty, JobId id);
+  /// Range-checked lookup for ids that come from a scheduler.
+  JobRecord& record(JobId id) {
+    FJS_REQUIRE(id < jobs_.size(), "engine: unknown job id");
+    return jobs_[id];
+  }
 
   /// Lazily compacted views handed to schedulers (arrival / start order).
   const std::vector<JobId>& pending_view();
@@ -206,22 +220,33 @@ class Engine {
   EngineOptions options_;
   EngineWorkspace* workspace_;
 
-  /// 4-ary min-heap on (time, kind, seq) — see events.h for the ordering.
+  /// 4-ary min-heap on (time, tie word) — see events.h for the ordering.
   std::vector<Event> heap_;
   /// Arrival events released in nondecreasing time order, consumed from
-  /// staged_[staged_head_..]; merged against heap_ at pop time.
+  /// staged_[staged_head_..]; merged against heap_ at pop time. A
+  /// preloaded run leaves it empty and reads arrivals off arrival_.
   std::vector<Event> staged_;
   std::size_t staged_head_ = 0;
+  std::size_t staged_end_ = 0;
+  bool preloaded_ = false;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_order_ = 0;
   Time now_;
   bool started_ = false;
 
+  /// Static job data by engine id: borrowed from the caller on a preloaded
+  /// run, else the released_* columns (re-pointed after every release).
+  const Time* arrival_ = nullptr;
+  const Time* deadline_ = nullptr;
+  const Time* length_ = nullptr;  ///< meaningful once length_known
+  std::vector<Time> released_arrival_;
+  std::vector<Time> released_deadline_;
+  std::vector<Time> released_length_;
+
   std::vector<JobRecord> jobs_;
-  std::vector<JobId> pending_;   ///< unordered storage, slot-indexed
-  std::vector<JobId> running_;   ///< unordered storage, slot-indexed
-  std::vector<JobId> pending_view_;  ///< arrival order, rebuilt on demand
-  std::vector<JobId> running_view_;  ///< start order, rebuilt on demand
+  /// Pending jobs in arrival order and running jobs in start order, plus
+  /// (once dirty) jobs that have since moved on; see compact_view().
+  std::vector<JobId> pending_view_;
+  std::vector<JobId> running_view_;
   bool pending_view_dirty_ = false;
   bool running_view_dirty_ = false;
   std::size_t done_count_ = 0;

@@ -53,29 +53,37 @@ constexpr int same_tick_rank(EventKind kind) {
   return static_cast<int>(kind);
 }
 
+/// Bit position of the same-tick rank inside an event's tie word; the
+/// low 58 bits hold the engine's FIFO sequence number (one per pushed
+/// event, so no run comes near 2^58).
+inline constexpr int kTieRankShift = 58;
+
+/// The tie word of an event of `kind` pushed as the engine's seq-th event:
+/// rank in the high bits, seq below, so one integer compare orders
+/// same-tick events by (rank, seq).
+constexpr std::uint64_t tie_word(EventKind kind, std::uint64_t seq) {
+  return (static_cast<std::uint64_t>(same_tick_rank(kind)) << kTieRankShift) |
+         seq;
+}
+
 struct Event {
   // Field order packs the struct into 32 bytes (wide members first); events
   // are copied constantly on the engine's hot path.
   Time time;
-  /// FIFO tie-break for identical (time, kind).
-  std::uint64_t seq = 0;
+  /// tie_word(kind, seq): same-tick priority, then FIFO insertion order.
+  std::uint64_t tie = 0;
   /// User data for scheduler timers.
   std::uint64_t tag = 0;
   JobId job = kInvalidJob;
   EventKind kind = EventKind::kArrival;
 };
 
-/// Min-heap ordering: earliest time, then kind, then insertion order.
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    if (a.kind != b.kind) {
-      return same_tick_rank(a.kind) > same_tick_rank(b.kind);
-    }
-    return a.seq > b.seq;
+/// Min-heap ordering: earliest time, then kind rank, then insertion order.
+constexpr bool event_before(const Event& a, const Event& b) {
+  if (a.time != b.time) {
+    return a.time < b.time;
   }
-};
+  return a.tie < b.tie;
+}
 
 }  // namespace fjs

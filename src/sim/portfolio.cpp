@@ -1,12 +1,14 @@
 #include "sim/portfolio.h"
 
+#include <numeric>
+
 #include "support/assert.h"
 
 namespace fjs {
 namespace {
 
-/// Source that releases nothing: the engine's timeline was installed by
-/// Engine::preload_static before the run.
+/// Placeholder source for preloaded runs, which never consult it: the
+/// engine's timeline was installed by Engine::preload_static.
 class NullSource final : public JobSource {
  public:
   SourceAction begin() override { return {}; }
@@ -15,55 +17,43 @@ class NullSource final : public JobSource {
 }  // namespace
 
 void PreparedInstance::prepare(InstanceView view) {
-  records_.clear();
-  staged_.clear();
-  original_ids_.clear();
-  const std::size_t n = view.size();
-  records_.reserve(n);
-  staged_.reserve(n);
-  original_ids_.reserve(n);
-
-  const auto add = [this, view](JobId original) {
-    const Time arrival = view.arrival(original);
-    const Time deadline = view.deadline(original);
-    const Time length = view.length(original);
-    // Same model checks Engine::release applies to a StaticSource stream,
-    // hoisted out of the per-replay path. Views may come from unvalidated
-    // scratch tables, so the checks stay even on the view path.
-    FJS_REQUIRE(arrival <= deadline,
-                "prepare: job with deadline before arrival");
-    FJS_REQUIRE(length > Time::zero(),
-                "prepare: job with non-positive length");
-    const auto id = static_cast<JobId>(records_.size());
-    detail::EngineJobRecord rec;
-    rec.job = Job{.id = id,
-                  .arrival = arrival,
-                  .deadline = deadline,
-                  .length = length};
-    rec.length_known = true;
-    records_.push_back(rec);
-    staged_.push_back(Event{.time = arrival,
-                            .seq = id,
-                            .tag = 0,
-                            .job = id,
-                            .kind = EventKind::kArrival});
-    original_ids_.push_back(original);
-  };
-
   // Mirror StaticSource exactly: arrival order with the same sorted fast
-  // path, so engine ids and event seqs match the classic replay bit for
+  // path, so engine ids and arrival seqs match the classic replay bit for
   // bit.
+  const std::size_t n = view.size();
   if (view.sorted_by_arrival()) {
-    for (JobId id = 0; id < n; ++id) {
-      add(id);
-    }
-    return;
+    arrivals_.assign(view.arrivals().begin(), view.arrivals().end());
+    deadlines_.assign(view.deadlines().begin(), view.deadlines().end());
+    lengths_.assign(view.lengths().begin(), view.lengths().end());
+    original_ids_.resize(n);
+    std::iota(original_ids_.begin(), original_ids_.end(), JobId{0});
+  } else {
+    // Same (arrival, id) order as Instance::ids_by_arrival(); sorting into
+    // member storage keeps re-preparing allocation-free once warm.
+    view.ids_by_arrival(original_ids_);
+    const auto gather = [this](std::vector<Time>& out,
+                               std::span<const Time> column) {
+      out.resize(original_ids_.size());
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        out[k] = column[original_ids_[k]];
+      }
+    };
+    gather(arrivals_, view.arrivals());
+    gather(deadlines_, view.deadlines());
+    gather(lengths_, view.lengths());
   }
-  // Same (arrival, id) order as Instance::ids_by_arrival(), sorted into a
-  // member scratch so re-preparing stays allocation-free once warm.
-  view.ids_by_arrival(sort_scratch_);
-  for (const JobId id : sort_scratch_) {
-    add(id);
+  // Same model checks Engine::release applies to a StaticSource stream,
+  // hoisted out of the per-replay path and run in release order. Views may
+  // come from unvalidated scratch tables, so the checks stay even on the
+  // view path.
+  for (std::size_t i = 0; i < n; ++i) {
+    FJS_REQUIRE(arrivals_[i] <= deadlines_[i],
+                "prepare: job with deadline before arrival");
+    FJS_REQUIRE(lengths_[i] > Time::zero(),
+                "prepare: job with non-positive length");
+    FJS_REQUIRE(deadlines_[i] <= Time::max() - lengths_[i],
+                "prepare: job whose latest completion overflows the time "
+                "axis");
   }
 }
 
@@ -76,7 +66,8 @@ Time PortfolioRunner::shared_span(const PortfolioEntry& entry,
                               .record_trace = false,
                               .reserve_jobs = prepared_.size()},
                 workspace_.get());
-  engine.preload_static(prepared_.records(), prepared_.staged());
+  engine.preload_static(prepared_.arrivals(), prepared_.deadlines(),
+                        prepared_.lengths());
   return engine.run_span(starts_engine_order);
 }
 
@@ -192,7 +183,8 @@ std::vector<SimulationResult> PortfolioRunner::run_full(
       NoDeferralOracle oracle;
       Engine engine(source, oracle, *entry.scheduler, engine_options,
                     workspace_.get());
-      engine.preload_static(prepared_.records(), prepared_.staged());
+      engine.preload_static(prepared_.arrivals(), prepared_.deadlines(),
+                            prepared_.lengths());
       results.push_back(engine.run());
     }
   }

@@ -6,10 +6,11 @@
 // I?" for several S per I. A plain simulate() call re-derives the arrival
 // order, re-builds a StaticSource release vector, and allocates a fresh
 // scheduler context for every run. The kernel instead *prepares* the
-// instance once — job-record template plus the staged arrival FIFO, in
-// exactly the order and seq numbering a StaticSource replay would produce
-// — and replays the prepared timeline for each portfolio entry through
-// Engine::preload_static. The replay is bit-identical to the classic path
+// instance once — arrival, deadline and length columns in exactly the
+// order a StaticSource replay would release them (engine id i = arrival
+// seq i) — and replays the prepared timeline for each portfolio entry
+// through Engine::preload_static, which reads those columns in place
+// rather than copying them. The replay is bit-identical to the classic path
 // (same events, same seqs, same tie-breaking), which the portfolio
 // determinism tests pin down. Every replay runs from t=0: the miner's
 // candidates are ~10 jobs, a whole replay is a few hundred events, and
@@ -60,38 +61,41 @@ struct PortfolioOptions {
   }
 };
 
-/// An instance lowered to the engine's internal replay format: the
-/// EngineJobRecord template and the staged arrival events a StaticSource
-/// release stream would have produced (ids in arrival order, seq 0..n-1).
-/// prepare() reuses internal storage, so a PreparedInstance that cycles
-/// through many same-sized instances stops allocating.
+/// An instance lowered to the engine's replay format: arrival, deadline
+/// and length columns in the order a StaticSource release stream would
+/// have produced (engine ids in arrival order, ties by job id), plus the
+/// map back to the instance's own ids. prepare() reuses internal storage,
+/// so a PreparedInstance that cycles through many same-sized instances
+/// stops allocating. A run preloaded from it borrows the columns, so it
+/// must not be re-prepared while that run is in flight.
 class PreparedInstance {
  public:
   PreparedInstance() = default;
 
   /// Validates the jobs (same checks as Engine release) and rebuilds the
-  /// replay buffers for `instance`.
+  /// columns for `instance`.
   void prepare(const Instance& instance) { prepare(instance.view()); }
 
   /// Same lowering over a non-owning view (e.g. the miner's mutation
   /// scratch table) — no Instance is materialized. The view only needs to
-  /// stay alive for this call; the replay buffers copy everything out.
+  /// stay alive for this call; the columns copy everything out.
   void prepare(InstanceView view);
 
-  std::size_t size() const { return records_.size(); }
-  const std::vector<detail::EngineJobRecord>& records() const {
-    return records_;
-  }
-  const std::vector<Event>& staged() const { return staged_; }
+  std::size_t size() const { return arrivals_.size(); }
+  /// Columns indexed by engine job id (release order); arrivals are
+  /// nondecreasing.
+  std::span<const Time> arrivals() const { return arrivals_; }
+  std::span<const Time> deadlines() const { return deadlines_; }
+  std::span<const Time> lengths() const { return lengths_; }
   /// Maps engine job id (release order) back to the prepared instance's
   /// job id; identity when the instance was already arrival-sorted.
   const std::vector<JobId>& original_ids() const { return original_ids_; }
 
  private:
-  std::vector<detail::EngineJobRecord> records_;
-  std::vector<Event> staged_;
+  std::vector<Time> arrivals_;
+  std::vector<Time> deadlines_;
+  std::vector<Time> lengths_;
   std::vector<JobId> original_ids_;
-  std::vector<JobId> sort_scratch_;  ///< arrival-sort ids, capacity reused
 };
 
 /// Span-only portfolio result (convenience-function form).

@@ -2,7 +2,8 @@
 // semantics, RandomizedScheduler tied timer/deadline events, the Doubler
 // window-close overflow, saturating Time helpers, the offline heuristic's
 // near-Time::min() window edge and Time::max() spans, the conformance-suite
-// coverage additions, and the strengthened same-tick trace rules.
+// coverage additions, the strengthened same-tick trace rules, and the
+// prepared-replay overflow check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <sstream>
 
 #include "analysis/instance_stats.h"
+#include "core/job_table.h"
 #include "core/time.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracles.h"
@@ -23,6 +25,7 @@
 #include "schedulers/registry.h"
 #include "sim/conformance.h"
 #include "sim/engine.h"
+#include "sim/portfolio.h"
 #include "sim/trace_check.h"
 #include "support/assert.h"
 #include "support/csv.h"
@@ -169,6 +172,28 @@ TEST(InstanceRegression, RejectsJobWhoseLatestCompletionOverflows) {
   InstanceBuilder builder;
   builder.add_ticks(Time(0), Time::max(), Time(2));
   EXPECT_THROW((void)builder.build(), AssertionError);
+}
+
+// PreparedInstance::prepare skipped the d + p <= Time::max() check that
+// Engine::release applies, so an unvalidated JobTable row with an
+// overflowing latest completion reached the engine, whose completion time
+// then overflowed (signed overflow; it threw only by accident, with
+// "event time went backwards"). prepare now rejects the row with release's
+// message.
+TEST(PrepareRegression, RejectsRowWhoseLatestCompletionOverflows) {
+  JobTable table;
+  table.push_back(Time(0), Time::max() - Time(1), Time(5));
+  const auto lazy = make_scheduler("lazy");
+  PortfolioRunner runner;
+  try {
+    (void)runner.run_span(table.view(), PortfolioEntry{lazy.get(), false});
+    FAIL() << "prepare accepted a row whose latest completion overflows";
+  } catch (const AssertionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "latest completion overflows the time axis"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // Two near-max lengths overflow any unchecked total-work sum. The stats /

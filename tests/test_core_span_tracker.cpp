@@ -63,5 +63,25 @@ TEST(SpanTracker, MatchesSetMeasureOnRandomSequences) {
   }
 }
 
+TEST(SpanTracker, MatchesSetMeasureOnTimeOrderedStarts) {
+  // The engine's shape: left endpoints nondecreasing (job starts, the O(1)
+  // append path), with an occasional earlier-starting interval mixed in (a
+  // deferred length decision, which binary-searches). Ties, abutting and
+  // nested intervals are frequent at this density.
+  Rng rng(29);
+  for (int round = 0; round < 100; ++round) {
+    SpanTracker tracker;
+    std::int64_t now = 0;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 80));
+    for (std::size_t i = 0; i < n; ++i) {
+      now += rng.uniform_int(0, 3);
+      const std::int64_t lo =
+          rng.uniform_int(0, 9) == 0 ? rng.uniform_int(0, now) : now;
+      tracker.add(Interval(Time(lo), Time(lo + rng.uniform_int(0, 6))));
+      ASSERT_EQ(tracker.span(), tracker.covered().measure());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fjs

@@ -5,7 +5,8 @@
 // buffer reuse across instances of different sizes. Also pins the
 // adaptive-adversary gate (factories disable timeline sharing) and, when
 // the build carries the FJS_COUNT_ALLOCS hook, the zero-steady-state-
-// allocation guarantee of the span-only path (docs/PERF.md).
+// allocation guarantee of the span-only path and of the engine's release
+// path (docs/PERF.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -384,6 +385,17 @@ TEST(PortfolioAllocs, SimulateSpanNeverAllocatesATrace) {
   const std::size_t warm_large = measure(large);
   EXPECT_EQ(warm_small, warm_large)
       << "simulate_span allocations must not scale with the event count";
+  // The engine's own share is zero: the release path's job columns,
+  // staged arrivals and heap all come from the warm pooled workspace, so
+  // every allocation left is the StaticSource's staging.
+  const auto source_only = [&](const Instance& inst) {
+    const AllocCounts before = alloc_counts();
+    StaticSource source(inst);
+    (void)source.begin();
+    return alloc_counts().allocations - before.allocations;
+  };
+  EXPECT_EQ(warm_large, source_only(large))
+      << "the engine allocated on simulate_span's release path";
 
   // And the full-result path: recording a trace must be the ONLY extra
   // allocation cost of record_trace=true.
