@@ -82,17 +82,20 @@ rm -rf results/asan-smoke
 build-asan/src/experiments/fjs_experiments --smoke --skip e9 \
   --out results --run-id asan-smoke --quiet 2>&1 | tee -a test_output.txt
 
-# ThreadSanitizer smoke: the work-stealing pool, the portfolio
-# determinism tests and the experiment pipeline under TSan. This is the
-# gate for the lock-free deque — a race in steal/pop ordering or the
-# injection queue shows up here, not in the (deterministic) unit tests.
+# ThreadSanitizer smoke: the task queue and TaskGroup nesting, every test
+# that drives parallel_for / parallel_map on a pool (portfolio grid,
+# miner, analysis sweeps, fuzz harness) and the experiment pipeline under
+# TSan. A race in the pool's group bookkeeping or in a parallel caller's
+# per-thread state shows up here, not in the (deterministic) unit tests.
 # E9 is skipped for the same reason as under ASan: timing is meaningless.
 cmake --preset tsan
 cmake --build build-tsan --target \
-  test_support_parallel test_sim_portfolio fjs_experiments
+  test_support_parallel test_sim_portfolio test_adversary_miner \
+  test_analysis test_fuzz_harness fjs_experiments
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   ctest --test-dir build-tsan --output-on-failure \
-  -R 'test_support_parallel|test_sim_portfolio' 2>&1 | tee -a test_output.txt
+  -R 'test_support_parallel|test_sim_portfolio|test_adversary_miner|test_analysis$|test_fuzz_harness' \
+  2>&1 | tee -a test_output.txt
 rm -rf results/tsan-smoke
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/experiments/fjs_experiments --smoke --skip e9 \

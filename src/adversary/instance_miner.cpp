@@ -224,8 +224,7 @@ class BatchEvaluator {
           *options_.pool, eval_list.size(),
           [&, threshold](std::size_t m) {
             return eval_one(parent, batch[eval_list[m]], threshold);
-          },
-          ChunkPolicy::kDynamic);
+          });
     } else {
       fresh.reserve(eval_list.size());
       for (const std::size_t m : eval_list) {

@@ -42,7 +42,16 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
     const std::vector<std::string>& scheduler_keys,
     const SweepOptions& options) {
   FJS_REQUIRE(!scheduler_keys.empty(), "sweep: no schedulers given");
-  ThreadPool& pool = options.pool != nullptr ? *options.pool : global_pool();
+  // A serial sweep never resolves the pool, so it does not start the
+  // global pool's threads.
+  const auto for_each_case = [&](const auto& fn) {
+    if (options.serial) {
+      serial_for(cases.size(), fn);
+    } else {
+      parallel_for(options.pool != nullptr ? *options.pool : global_pool(),
+                   cases.size(), fn);
+    }
+  };
 
   // Phase 1: per-case OPT bounds (the expensive part), computed once.
   // Case costs are uneven (annealing/heuristic effort varies with the
@@ -52,11 +61,7 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
   auto compute_bounds = [&](std::size_t i) {
     bounds[i] = opt_bounds_for(cases[i].instance, options);
   };
-  if (options.serial) {
-    serial_for(cases.size(), compute_bounds);
-  } else {
-    parallel_for(pool, cases.size(), compute_bounds, 1, ChunkPolicy::kDynamic);
-  }
+  for_each_case(compute_bounds);
 
   // Phase 2: the (case × scheduler) grid of simulations, one task per
   // case. The portfolio kernel prepares each case's arrival timeline once
@@ -88,11 +93,7 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
     std::copy(case_spans.begin(), case_spans.end(),
               spans.begin() + static_cast<std::ptrdiff_t>(c * n_keys));
   };
-  if (options.serial) {
-    serial_for(cases.size(), run_case);
-  } else {
-    parallel_for(pool, cases.size(), run_case, 1, ChunkPolicy::kDynamic);
-  }
+  for_each_case(run_case);
 
   // Phase 3: deterministic reduction in index order.
   std::vector<SchedulerAggregate> aggregates(scheduler_keys.size());

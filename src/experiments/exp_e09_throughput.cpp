@@ -233,11 +233,9 @@ void view_access(benchmark::State& state, bool checked) {
   state.SetLabel("column reads");
 }
 
-// Annealing neighbor-evaluation throughput on a 2048-job instance: the
-// full O(n) union re-measure per proposal vs the incremental
-// committed-state scan (reject = O(affected window), no undo). Spans and
-// schedules are bit-identical either way (pinned in
-// test_offline_annealing); the pair of curves documents the speedup.
+// Annealing proposal throughput on a 2048-job instance: each proposal
+// moves one interval in the sorted list and re-measures the union in one
+// O(n) pass (undone on rejection).
 Instance anneal_instance(std::size_t n) {
   Rng rng(5);
   const std::int64_t unit = Time::kTicksPerUnit;
@@ -254,11 +252,10 @@ Instance anneal_instance(std::size_t n) {
   return Instance(std::move(jobs));
 }
 
-void anneal(benchmark::State& state, bool incremental) {
+void anneal(benchmark::State& state) {
   const Instance inst = anneal_instance(2'048);
   AnnealingOptions options;
   options.iterations = 20'000;
-  options.incremental = incremental;
   std::size_t proposals = 0;
   for (auto _ : state) {
     const AnnealingResult result = anneal_schedule(inst, options);
@@ -485,14 +482,7 @@ void register_benchmarks(bool smoke) {
     benchmark::RegisterBenchmark(
         "BM_ViewAccess/checked",
         [](benchmark::State& state) { view_access(state, true); });
-    benchmark::RegisterBenchmark(
-        "BM_AnnealFull",
-        [](benchmark::State& state) { anneal(state, /*incremental=*/false); })
-        ->Unit(benchmark::kMillisecond)
-        ->Repetitions(3)->ReportAggregatesOnly(true);
-    benchmark::RegisterBenchmark(
-        "BM_AnnealIncremental",
-        [](benchmark::State& state) { anneal(state, /*incremental=*/true); })
+    benchmark::RegisterBenchmark("BM_Anneal", anneal)
         ->Unit(benchmark::kMillisecond)
         ->Repetitions(3)->ReportAggregatesOnly(true);
     benchmark::RegisterBenchmark("BM_Heuristic", heuristic)

@@ -60,8 +60,7 @@ class E14Experiment final : public Experiment {
     };
 
     // Parallelism lives INSIDE the miner (batched candidate evaluation
-    // over the pool), so the scheduler loop is serial — nesting
-    // pool-blocking loops inside pool workers would deadlock a small pool.
+    // over the pool), so the scheduler loop is serial.
     std::vector<MinerResult> results(targets.size());
     for (std::size_t i = 0; i < targets.size(); ++i) {
       MinerOptions options;

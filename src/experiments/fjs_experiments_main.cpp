@@ -19,6 +19,7 @@
 #include "experiments/registry.h"
 #include "experiments/runner.h"
 #include "support/assert.h"
+#include "support/thread_pool.h"
 
 namespace {
 
@@ -31,7 +32,7 @@ void print_usage(std::ostream& os) {
      << "  --skip LIST          comma-separated names to exclude\n"
      << "  --filter REGEX       case-insensitive regex over name, title,\n"
      << "                       description and paper reference\n"
-     << "  --jobs N             worker threads (default: hardware)\n"
+     << "  --jobs N             worker threads, 1..1024 (default: hardware)\n"
      << "  --seed S             base seed; 0 (default) reproduces the\n"
      << "                       legacy per-experiment seeds exactly\n"
      << "  --out DIR            output root (default: results)\n"
@@ -117,8 +118,10 @@ int main(int argc, char** argv) {
       filter = value("a regex argument");
     } else if (arg == "--jobs") {
       std::uint64_t n = 0;
-      if (!parse_u64(value("a numeric argument"), n) || n < 1) {
-        std::cerr << "fjs_experiments: --jobs must be a positive integer\n";
+      if (!parse_u64(value("a numeric argument"), n) || n < 1 ||
+          n > fjs::kMaxThreads) {
+        std::cerr << "fjs_experiments: --jobs must be an integer in [1, "
+                  << fjs::kMaxThreads << "]\n";
         return 2;
       }
       options.jobs = static_cast<std::size_t>(n);

@@ -3,6 +3,7 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -106,8 +107,8 @@ std::uint64_t experiment_seed(std::uint64_t base, const std::string& name) {
 
 RunReport run_experiments(const std::vector<const Experiment*>& selection,
                           const RunnerOptions& options) {
-  const std::size_t hardware =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t hardware = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, kMaxThreads);
   const std::size_t jobs = options.jobs == 0 ? hardware : options.jobs;
 
   RunReport report;
@@ -160,11 +161,11 @@ RunReport run_experiments(const std::vector<const Experiment*>& selection,
     telemetry::set_trace_enabled(true);
   }
 
-  // One pool for everything: the work-stealing TaskGroup lets a task
-  // waiting on subtasks help execute queued work instead of blocking its
-  // worker, so nesting an experiment's parallel_for inside the experiment
-  // fan-out cannot deadlock — and the machine is no longer oversubscribed
-  // with 2x `jobs` threads the way the old outer/inner pool pair was.
+  // One pool for everything: the TaskGroup lets a task waiting on
+  // subtasks help run queued work instead of blocking its worker, so
+  // nesting an experiment's parallel_for inside the experiment fan-out
+  // cannot deadlock — and the machine is no longer oversubscribed with
+  // 2x `jobs` threads the way the old outer/inner pool pair was.
   ThreadPool pool(jobs);
   parallel_for(
       pool, selection.size(),
@@ -213,8 +214,7 @@ RunReport run_experiments(const std::vector<const Experiment*>& selection,
 
         logs[i] = log.str();
         write_text_file(exp_dir + "/report.txt", logs[i]);
-      },
-      /*min_chunk=*/1, ChunkPolicy::kDynamic);
+      });
 
   report.telemetry =
       telemetry::delta(telemetry_before, telemetry::capture());

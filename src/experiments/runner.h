@@ -14,10 +14,10 @@
 //       <csv_name>.csv     tables via CsvWriter
 //       ...                self-written artifacts (e.g. e9 benchmarks)
 //
-// Execution model: experiments run on an OUTER pool (dynamic chunking,
-// one experiment per task) while ExperimentContext::pool points at a
-// SEPARATE inner pool for intra-experiment parallel_for — nesting waits
-// on a single pool would deadlock it.
+// Execution model: experiments run on one pool (one experiment per index
+// of a parallel_for), and ExperimentContext::pool points at the same pool
+// for intra-experiment parallel_for; TaskGroup's helping wait lets the
+// two levels nest without deadlock.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,7 @@
 
 #include "fuzz/harness.h"
 #include "fuzz/repro.h"
+#include "support/thread_pool.h"
 
 namespace {
 
@@ -22,7 +23,8 @@ void print_usage(std::ostream& os) {
      << "  --smoke              fixed-seed CI profile (fast, deterministic)\n"
      << "  --count N            seeds to fuzz (default 1000)\n"
      << "  --seed-start S       first seed (default 1)\n"
-     << "  --threads T          worker threads (default: hardware)\n"
+     << "  --threads T          worker threads, at most 1024 (default 0:\n"
+     << "                       hardware)\n"
      << "  --max-jobs N         jobs per instance cap (default 12)\n"
      << "  --max-failures N     stop after N failing seeds (default 8)\n"
      << "  --no-shrink          report failures without minimizing them\n"
@@ -94,6 +96,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       std::uint64_t t = 0;
       value(t);
+      if (t > fjs::kMaxThreads) {
+        std::cerr << "fjs_fuzz: --threads must be at most " << fjs::kMaxThreads
+                  << " (0: hardware)\n";
+        return 2;
+      }
       options.threads = static_cast<std::size_t>(t);
     } else if (arg == "--max-jobs") {
       std::uint64_t n = 0;

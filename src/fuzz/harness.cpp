@@ -133,8 +133,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
         pool, static_cast<std::size_t>(n),
         [&](std::size_t i) {
           return check_seed(base + i, options.gen, oracles);
-        },
-        ChunkPolicy::kDynamic);
+        });
     report.instances_run += n;
     g_tm_fuzz_instances.add(static_cast<std::uint64_t>(n));
     for (std::size_t i = 0;

@@ -15,231 +15,6 @@ Time clamp_time(Time value, Time lo, Time hi) {
   return std::max(lo, std::min(value, hi));
 }
 
-/// Incremental union-measure evaluator over a sorted interval list.
-///
-/// Mirrors IntervalSet::sorted_union_measure exactly, but memoizes the
-/// left-to-right scan state (closed measure so far + the open run) after
-/// every index of the committed list. A proposal that replaces one
-/// interval is then evaluated WITHOUT mutating the list: the replacement's
-/// erase/insert positions are computed the same way replace_in_sorted
-/// computes them, the scan resumes from the committed state just before
-/// the first affected index, and it short-circuits as soon as the running
-/// state reconverges with the committed state — from there the suffix
-/// contributes exactly `total - closed[k]`, already known. Rejected
-/// proposals therefore touch only the affected window and leave nothing to
-/// undo; only accepted moves pay the O(n) rebuild.
-///
-/// Bit-identity: the scan is the same integer arithmetic over the same
-/// virtual element sequence that replace_in_sorted + sorted_union_measure
-/// would produce, so propose() returns exactly the full-path measure.
-class IncrementalUnion {
- public:
-  void rebuild(const std::vector<Interval>& sorted) {
-    const std::size_t n = sorted.size();
-    closed_.resize(n);
-    open_.resize(n);
-    lo_.resize(n);
-    hi_.resize(n);
-    Time closed = Time::zero();
-    Time lo;
-    Time hi;
-    bool open = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      step(sorted[i], closed, open, lo, hi);
-      closed_[i] = closed;
-      open_[i] = open ? 1 : 0;
-      lo_[i] = lo;
-      hi_[i] = hi;
-    }
-    total_ = closed + (open ? hi - lo : Time::zero());
-  }
-
-  Time total() const { return total_; }
-
-  /// Applies the replacement to `sorted` (same final list as
-  /// replace_in_sorted, but moving only the window between the erase and
-  /// insert positions instead of the whole tail twice) and patches the
-  /// committed state arrays: entries are recomputed from the first affected
-  /// index and, once the scan state reconverges with the old committed
-  /// state in the aligned region, the remaining closed-measure entries just
-  /// shift by the (often zero) measure delta.
-  void commit(std::vector<Interval>& sorted, const Interval& old_iv,
-              const Interval& new_iv) {
-    const std::size_t n = sorted.size();
-    const auto [r, s] = locate(sorted, old_iv, new_iv);
-    if (r <= s) {
-      std::move(sorted.begin() + static_cast<std::ptrdiff_t>(r) + 1,
-                sorted.begin() + static_cast<std::ptrdiff_t>(s) + 1,
-                sorted.begin() + static_cast<std::ptrdiff_t>(r));
-    } else {
-      std::move_backward(sorted.begin() + static_cast<std::ptrdiff_t>(s),
-                         sorted.begin() + static_cast<std::ptrdiff_t>(r),
-                         sorted.begin() + static_cast<std::ptrdiff_t>(r) + 1);
-    }
-    sorted[s] = new_iv;
-
-    const std::size_t first = std::min(r, s);
-    const std::size_t last = std::max(r, s);
-    Time closed = Time::zero();
-    Time lo;
-    Time hi;
-    bool open = false;
-    if (first > 0) {
-      closed = closed_[first - 1];
-      open = open_[first - 1] != 0;
-      lo = lo_[first - 1];
-      hi = hi_[first - 1];
-    }
-    for (std::size_t k = first; k < n; ++k) {
-      step(sorted[k], closed, open, lo, hi);
-      // Aligned region: old entries at >= last still describe the same
-      // elements (they are only overwritten once the scan passes them).
-      if (k >= last && same_state(k, open, lo, hi)) {
-        const Time delta = closed - closed_[k];
-        if (delta != Time::zero()) {
-          for (std::size_t j = k; j < n; ++j) {
-            closed_[j] += delta;
-          }
-          total_ += delta;
-        }
-        return;
-      }
-      closed_[k] = closed;
-      open_[k] = open ? 1 : 0;
-      lo_[k] = lo;
-      hi_[k] = hi;
-    }
-    total_ = closed + (open ? hi - lo : Time::zero());
-  }
-
-  /// Union measure of `sorted` with `old_iv` replaced by `new_iv`, without
-  /// touching `sorted` (which must be the list rebuild() last saw).
-  Time propose(const std::vector<Interval>& sorted, const Interval& old_iv,
-               const Interval& new_iv) const {
-    const std::size_t n = sorted.size();
-    const auto [r, s] = locate(sorted, old_iv, new_iv);
-
-    // Virtual post-replacement element at index k: outside [min(r,s),
-    // max(r,s)] the list is unchanged; inside, elements shift one slot
-    // toward r and new_iv sits at s.
-    const auto at = [&](std::size_t k) -> const Interval& {
-      if (k == s) {
-        return new_iv;
-      }
-      if (r <= s) {
-        return (k >= r && k < s) ? sorted[k + 1] : sorted[k];
-      }
-      return (k > s && k <= r) ? sorted[k - 1] : sorted[k];
-    };
-
-    const std::size_t first = std::min(r, s);
-    const std::size_t last = std::max(r, s);
-    Time closed = Time::zero();
-    Time lo;
-    Time hi;
-    bool open = false;
-    if (first > 0) {
-      closed = closed_[first - 1];
-      open = open_[first - 1] != 0;
-      lo = lo_[first - 1];
-      hi = hi_[first - 1];
-    }
-    for (std::size_t k = first; k < n; ++k) {
-      step(at(k), closed, open, lo, hi);
-      if (k >= last) {
-        // Aligned region: the suffix past k is the committed suffix, so
-        // matching states evolve identically from here on.
-        if (same_state(k, open, lo, hi)) {
-          return closed + (total_ - closed_[k]);
-        }
-        continue;
-      }
-      if (r < s && k >= r && same_state(k + 1, open, lo, hi)) {
-        // Shifted region, erase before insert: virtual index k holds
-        // committed element k+1. Matching the committed state one slot
-        // ahead pins the whole shifted remainder — jump to the state just
-        // before new_iv at s (committed state after element s).
-        closed += closed_[s] - closed_[k + 1];
-        open = open_[s] != 0;
-        lo = lo_[s];
-        hi = hi_[s];
-        k = s - 1;
-        continue;
-      }
-      if (s < r && k > s && same_state(k - 1, open, lo, hi)) {
-        // Shifted region, insert before erase: virtual index k holds
-        // committed element k-1. Jump to the state after virtual index r
-        // (committed state after element r-1); the loop resumes in the
-        // aligned region.
-        closed += closed_[r - 1] - closed_[k - 1];
-        open = open_[r - 1] != 0;
-        lo = lo_[r - 1];
-        hi = hi_[r - 1];
-        k = r;
-        continue;
-      }
-    }
-    return closed + (open ? hi - lo : Time::zero());
-  }
-
- private:
-  /// Same location rules as IntervalSet::replace_in_sorted: r = index the
-  /// erase would remove (first exact match in the equal-lo run), s = index
-  /// the insert would land on after the erase (the pre-erase lower bound;
-  /// positions past r shift left by one).
-  static std::pair<std::size_t, std::size_t> locate(
-      const std::vector<Interval>& sorted, const Interval& old_iv,
-      const Interval& new_iv) {
-    const auto by_lo = [](const Interval& a, const Interval& b) {
-      return a.lo < b.lo;
-    };
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), old_iv, by_lo);
-    while (it != sorted.end() && *it != old_iv) {
-      ++it;  // walk the equal-lo run to the matching instance
-    }
-    FJS_REQUIRE(it != sorted.end() && *it == old_iv,
-                "IncrementalUnion: old interval not found");
-    const auto r = static_cast<std::size_t>(it - sorted.begin());
-    const auto s0 = static_cast<std::size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), new_iv, by_lo) -
-        sorted.begin());
-    return {r, s0 > r ? s0 - 1 : s0};
-  }
-
-  static void step(const Interval& iv, Time& closed, bool& open, Time& lo,
-                   Time& hi) {
-    if (iv.empty()) {
-      return;
-    }
-    if (!open) {
-      lo = iv.lo;
-      hi = iv.hi;
-      open = true;
-      return;
-    }
-    if (iv.lo <= hi) {
-      hi = std::max(hi, iv.hi);
-    } else {
-      closed += hi - lo;
-      lo = iv.lo;
-      hi = iv.hi;
-    }
-  }
-
-  bool same_state(std::size_t k, bool open, Time lo, Time hi) const {
-    if (open != (open_[k] != 0)) {
-      return false;
-    }
-    return !open || (lo == lo_[k] && hi == hi_[k]);
-  }
-
-  std::vector<Time> closed_;   ///< union measure of runs closed by index i
-  std::vector<Time> lo_;       ///< open run after index i (if open_[i])
-  std::vector<Time> hi_;
-  std::vector<std::uint8_t> open_;
-  Time total_ = Time::zero();  ///< full-list measure
-};
-
 }  // namespace
 
 AnnealingResult anneal_schedule(const Instance& instance,
@@ -270,12 +45,7 @@ AnnealingResult anneal_schedule(const Instance& instance,
   }
   std::sort(sorted.begin(), sorted.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  IncrementalUnion inc;
-  if (options.incremental) {
-    inc.rebuild(sorted);
-  }
-  Time current = options.incremental ? inc.total()
-                                     : IntervalSet::sorted_union_measure(sorted);
+  Time current = IntervalSet::sorted_union_measure(sorted);
   Time best = current;
   std::vector<Time> best_starts = starts;
 
@@ -313,34 +83,22 @@ AnnealingResult anneal_schedule(const Instance& instance,
     const Time saved = starts[id];
     const Interval old_iv = intervals[id];
     const Interval new_iv = job.active_interval(proposal);
-    Time candidate;
-    if (options.incremental) {
-      // Evaluate without mutating anything: a rejected proposal then costs
-      // only the affected window of the scan and leaves nothing to undo.
-      candidate = inc.propose(sorted, old_iv, new_iv);
-    } else {
-      starts[id] = proposal;
-      intervals[id] = new_iv;
-      IntervalSet::replace_in_sorted(sorted, old_iv, new_iv);
-      candidate = IntervalSet::sorted_union_measure(sorted);
-    }
+    starts[id] = proposal;
+    intervals[id] = new_iv;
+    IntervalSet::replace_in_sorted(sorted, old_iv, new_iv);
+    const Time candidate = IntervalSet::sorted_union_measure(sorted);
     const double delta =
         static_cast<double>((candidate - current).ticks());
     const bool accept =
         delta <= 0.0 || rng.uniform01() < std::exp(-delta / temperature);
     if (accept) {
-      if (options.incremental) {
-        starts[id] = proposal;
-        intervals[id] = new_iv;
-        inc.commit(sorted, old_iv, new_iv);
-      }
       current = candidate;
       ++result.accepted;
       if (current < best) {
         best = current;
         best_starts = starts;
       }
-    } else if (!options.incremental) {
+    } else {
       starts[id] = saved;
       intervals[id] = old_iv;
       IntervalSet::replace_in_sorted(sorted, new_iv, old_iv);

@@ -26,15 +26,6 @@ struct AnnealingOptions {
   std::size_t cooling_period = 250;
   /// Probability of an alignment move (vs uniform-random jump).
   double alignment_move_probability = 0.7;
-  /// Evaluate proposals through the incremental union-measure scan instead
-  /// of a full pass over all intervals. The incremental path replays the
-  /// committed prefix state up to the first index the move can change and
-  /// stops at the first state reconvergence, so a rejected proposal costs
-  /// O(affected window) instead of O(n) — and rejection leaves no state to
-  /// undo. Spans, accepted counts and schedules are bit-identical either
-  /// way (same integer arithmetic, same RNG draw sequence); the flag exists
-  /// so tests and benches can compare the two paths.
-  bool incremental = true;
 };
 
 struct AnnealingResult {

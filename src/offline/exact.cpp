@@ -1107,8 +1107,11 @@ ExactResult run_search(InstanceView view, const Instance* owner,
                             options.decision_floor < seed_span;
   // One warm Search per thread: the miner certifies thousands of
   // candidates back-to-back on the same worker, and init() reuses every
-  // scratch buffer / hash table's capacity.
-  thread_local Search search;
+  // scratch buffer / hash table's capacity. Cache-line aligned, which also
+  // aligns the whole static TLS block to 64 bytes: every other thread_local
+  // then keeps the cache-line offset the linker gave it, whatever the
+  // block's total size (docs/PERF.md §3 has the measurement).
+  alignas(64) thread_local Search search;
   search.init(view, options, seed_span);
   const Outcome o = search.solve(
       full, Components{}, floor_active ? options.decision_floor : seed_span,

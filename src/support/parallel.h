@@ -1,21 +1,18 @@
 // parallel_for / parallel_map over index ranges, built on the pool's
-// TaskGroup (work-stealing with helping waits, so these nest freely on a
-// single pool -- an outer parallel_for's body may itself call parallel_for
-// on the same pool without deadlock).
+// TaskGroup (helping waits, so these nest freely on a single pool -- an
+// outer parallel_for's body may itself call parallel_for on the same pool
+// without deadlock).
 //
-// Two chunking policies:
-//  * kStatic — contiguous chunks, one per worker. Right for sweeps whose
-//    iterations cost about the same: no queue traffic, no shared counter.
-//  * kDynamic — workers pull chunks from a shared atomic counter, so an
-//    expensive item (a slow annealing case, a pathological instance) does
-//    not leave the rest of its static chunk stranded behind it.
-// Either way results are written to pre-sized slots keyed by index, so the
-// output is deterministic and independent of thread count and policy —
-// the property the serial-vs-parallel tests pin down.
+// Indices are handed out dynamically: thread_count + 1 tasks claim them one
+// at a time from a shared atomic counter, so an expensive item (a slow
+// annealing case, a pathological instance) does not strand cheaper ones
+// behind it. Results are written to pre-sized slots keyed by index, so the
+// output is deterministic and independent of the thread count — the
+// property the serial-vs-parallel tests pin down.
 //
-// Exceptions: the first exception thrown by any chunk — including one
-// stolen by another worker — is rethrown exactly once from the call;
-// remaining chunks still run to completion first.
+// Exceptions: the first exception thrown by any index is rethrown exactly
+// once from the call, after every task has stopped. A task whose call
+// throws claims no further indices; the other tasks keep claiming.
 #pragma once
 
 #include <algorithm>
@@ -23,60 +20,27 @@
 #include <cstddef>
 #include <vector>
 
-#include "support/assert.h"
 #include "support/thread_pool.h"
 
 namespace fjs {
 
-/// How parallel_for splits [0, count) across workers.
-enum class ChunkPolicy {
-  kStatic,   ///< contiguous chunks fixed up front (one per worker)
-  kDynamic,  ///< workers claim `min_chunk`-sized chunks from an atomic counter
-};
-
 /// Invokes fn(i) for every i in [0, count) using the given pool. The
-/// calling thread helps execute chunks while waiting. Rethrows the first
-/// task exception.
+/// calling thread helps run tasks while waiting. Rethrows the first task
+/// exception.
 template <typename F>
-void parallel_for(ThreadPool& pool, std::size_t count, F&& fn,
-                  std::size_t min_chunk = 1,
-                  ChunkPolicy policy = ChunkPolicy::kStatic) {
-  FJS_REQUIRE(min_chunk >= 1, "parallel_for: min_chunk must be >= 1");
+void parallel_for(ThreadPool& pool, std::size_t count, F&& fn) {
   if (count == 0) {
     return;
   }
-  const std::size_t workers = pool.thread_count();
+  // Stack-local is safe: group.wait() returns only after every spawned
+  // task finished.
+  std::atomic<std::size_t> next{0};
   ThreadPool::TaskGroup group(pool);
-  if (policy == ChunkPolicy::kDynamic) {
-    // Shared work counter; stack-local is safe because group.wait()
-    // returns only after every spawned task finished.
-    std::atomic<std::size_t> next{0};
-    const std::size_t tasks =
-        std::min(workers + 1, (count + min_chunk - 1) / min_chunk);
-    for (std::size_t w = 0; w < tasks; ++w) {
-      group.run([&fn, &next, count, min_chunk]() {
-        for (;;) {
-          const std::size_t begin =
-              next.fetch_add(min_chunk, std::memory_order_relaxed);
-          if (begin >= count) {
-            return;
-          }
-          const std::size_t end = std::min(begin + min_chunk, count);
-          for (std::size_t i = begin; i < end; ++i) {
-            fn(i);
-          }
-        }
-      });
-    }
-    group.wait();
-    return;
-  }
-  std::size_t chunk = (count + workers - 1) / workers;
-  chunk = std::max(chunk, min_chunk);
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, count);
-    group.run([&fn, begin, end]() {
-      for (std::size_t i = begin; i < end; ++i) {
+  const std::size_t tasks = std::min(pool.thread_count() + 1, count);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    group.run([&fn, &next, count] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
         fn(i);
       }
     });
@@ -94,27 +58,12 @@ void serial_for(std::size_t count, F&& fn) {
 
 /// Maps fn over [0, count) into a vector, preserving index order.
 template <typename F>
-auto parallel_map(ThreadPool& pool, std::size_t count, F&& fn,
-                  ChunkPolicy policy = ChunkPolicy::kStatic)
+auto parallel_map(ThreadPool& pool, std::size_t count, F&& fn)
     -> std::vector<decltype(fn(std::size_t{0}))> {
   using R = decltype(fn(std::size_t{0}));
   std::vector<R> out(count);
-  parallel_for(pool, count, [&](std::size_t i) { out[i] = fn(i); }, 1, policy);
+  parallel_for(pool, count, [&](std::size_t i) { out[i] = fn(i); });
   return out;
-}
-
-/// Order-independent reduction: maps fn over [0, count) and combines the
-/// per-index results with `combine` into `init`. The combine step runs
-/// serially over index order, so the result is deterministic.
-template <typename R, typename F, typename C>
-R parallel_reduce(ThreadPool& pool, std::size_t count, R init, F&& fn,
-                  C&& combine, ChunkPolicy policy = ChunkPolicy::kStatic) {
-  auto mapped = parallel_map(pool, count, std::forward<F>(fn), policy);
-  R acc = std::move(init);
-  for (auto& value : mapped) {
-    acc = combine(std::move(acc), std::move(value));
-  }
-  return acc;
 }
 
 }  // namespace fjs

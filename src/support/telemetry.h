@@ -14,9 +14,9 @@
 //  * Deterministic snapshots. Metrics are tagged with a Stability:
 //    kDeterministic metrics (events simulated, prefix-cache hits, ...)
 //    depend only on the workload and are byte-stable across `--jobs 1`
-//    runs of a deterministic workload; kTiming metrics (steals,
-//    helping-wait spins, latencies) vary run to run and are excluded
-//    from stable artifacts like the manifest's telemetry block.
+//    runs of a deterministic workload; kTiming metrics (latencies)
+//    vary run to run and are excluded from stable artifacts like the
+//    manifest's telemetry block.
 //  * Compiles to nothing. -DFJS_TELEMETRY=OFF removes the define
 //    FJS_TELEMETRY_ENABLED and every class below becomes an empty
 //    shell whose members are constexpr no-ops; snapshots come back

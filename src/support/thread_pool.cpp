@@ -1,234 +1,116 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <iterator>
 
-#include "support/telemetry.h"
+#include "support/assert.h"
 
 namespace fjs {
 
-namespace {
-
-// Identifies the pool (and worker slot) owning the current thread, so
-// enqueue() can push to the local deque and TaskGroup::wait() can help
-// from inside a worker. Null on non-pool threads.
-thread_local ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
-// Pool telemetry is inherently timing-dependent (which thread steals what
-// varies run to run), so everything here is Stability::kTiming and stays
-// out of deterministic artifacts like the manifest telemetry block.
-telemetry::Counter g_tm_steals{"pool.steals", telemetry::Stability::kTiming};
-telemetry::Counter g_tm_help_iterations{"pool.helping_wait_iterations",
-                                        telemetry::Stability::kTiming};
-telemetry::Histogram g_tm_injection_depth{"pool.injection_depth",
-                                          telemetry::Stability::kTiming};
-
-}  // namespace
-
-namespace detail {
-
-WorkDeque::~WorkDeque() {
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  while (ring != nullptr) {
-    Ring* prev = ring->prev;
-    delete ring;
-    ring = prev;
-  }
-}
-
-void WorkDeque::push(TaskNode* node) {
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-  const std::int64_t t = top_.load(std::memory_order_seq_cst);
-  Ring* ring = ring_.load(std::memory_order_seq_cst);
-  if (b - t > static_cast<std::int64_t>(ring->capacity) - 1) {
-    Ring* bigger = new Ring(ring->capacity * 2);
-    for (std::int64_t i = t; i < b; ++i) {
-      bigger->put(i, ring->get(i));
-    }
-    bigger->prev = ring;
-    ring_.store(bigger, std::memory_order_seq_cst);
-    ring = bigger;
-  }
-  ring->put(b, node);
-  bottom_.store(b + 1, std::memory_order_seq_cst);
-}
-
-TaskNode* WorkDeque::pop() {
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst) - 1;
-  Ring* ring = ring_.load(std::memory_order_seq_cst);
-  bottom_.store(b, std::memory_order_seq_cst);
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  TaskNode* node = nullptr;
-  if (t <= b) {
-    node = ring->get(b);
-    if (t == b) {
-      // Last element: race the thieves for it.
-      if (!top_.compare_exchange_strong(t, t + 1,
-                                        std::memory_order_seq_cst)) {
-        node = nullptr;  // a thief won
-      }
-      bottom_.store(b + 1, std::memory_order_seq_cst);
-    }
-  } else {
-    bottom_.store(b + 1, std::memory_order_seq_cst);  // deque was empty
-  }
-  return node;
-}
-
-TaskNode* WorkDeque::steal() {
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) {
-    return nullptr;  // empty
-  }
-  Ring* ring = ring_.load(std::memory_order_seq_cst);
-  TaskNode* node = ring->get(t);
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst)) {
-    return nullptr;  // lost the race; caller tries the next victim
-  }
-  return node;
-}
-
-}  // namespace detail
-
 ThreadPool::ThreadPool(std::size_t threads) {
+  FJS_REQUIRE(threads <= kMaxThreads,
+              "ThreadPool: thread count exceeds kMaxThreads");
   std::size_t n = threads;
   if (n == 0) {
-    n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    n = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                kMaxThreads);
   }
   threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      threads_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop();  // started workers must not outlive mutex_ and the cvs
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() noexcept {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stopping_.store(true, std::memory_order_seq_cst);
+    stopping_ = true;
   }
-  cv_.notify_all();
-  threads_.clear();  // jthread joins; workers exit only once outstanding_==0
+  work_cv_.notify_all();
+  threads_.clear();  // jthread joins
 }
 
-void ThreadPool::enqueue(detail::TaskNode* node) {
-  outstanding_.fetch_add(1, std::memory_order_seq_cst);
-  if (tl_pool == this) {
-    workers_[tl_worker]->deque.push(node);
-    cv_.notify_one();  // a sleeper may steal it (idle poll also covers this)
-    return;
-  }
-  std::size_t depth = 0;
+void ThreadPool::enqueue(TaskGroup* group, std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    injection_.push_back(node);
-    depth = injection_.size();
+    queue_.push_back(Task{group, std::move(fn)});
+    ++group->pending_;  // after the push, which may throw
   }
-  g_tm_injection_depth.record(depth);
-  cv_.notify_one();
+  work_cv_.notify_one();
 }
 
-detail::TaskNode* ThreadPool::find_work() {
-  const bool on_pool = (tl_pool == this);
-  if (on_pool) {
-    if (detail::TaskNode* node = workers_[tl_worker]->deque.pop()) {
-      return node;
-    }
-  }
+void ThreadPool::run(Task task, std::unique_lock<std::mutex>& lock) noexcept {
+  lock.unlock();
+  std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!injection_.empty()) {
-      detail::TaskNode* node = injection_.front();
-      injection_.pop_front();
-      return node;
+    // The callable (and whatever it captured) is destroyed before the
+    // group can observe the task as finished.
+    const std::function<void()> fn = std::move(task.fn);
+    try {
+      fn();
+    } catch (...) {
+      error = std::current_exception();
     }
   }
-  const std::size_t n = workers_.size();
-  const std::size_t self = on_pool ? tl_worker : 0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    const std::size_t victim = (self + k) % n;
-    if (on_pool && victim == tl_worker) {
-      continue;
-    }
-    if (detail::TaskNode* node = workers_[victim]->deque.steal()) {
-      g_tm_steals.increment();
-      return node;
-    }
+  lock.lock();
+  TaskGroup& group = *task.group;
+  if (error && !group.exception_) {
+    group.exception_ = error;
   }
-  return nullptr;
-}
-
-void ThreadPool::run_node(detail::TaskNode* node) noexcept {
-  node->execute();
-  delete node;
-  if (outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-      stopping_.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cv_.notify_all();  // unblock workers waiting to shut down
+  if (--group.pending_ == 0) {
+    done_cv_.notify_all();
   }
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  tl_pool = this;
-  tl_worker = index;
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (detail::TaskNode* node = find_work()) {
-      run_node(node);
-      continue;
+    work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) {
+      return;  // stopping, and nothing left to run
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (stopping_.load(std::memory_order_seq_cst) &&
-        outstanding_.load(std::memory_order_seq_cst) == 0) {
-      return;
-    }
-    // Sleep until injected work arrives or shutdown completes. The 1 ms
-    // timeout bounds the latency of noticing work pushed to a sibling's
-    // deque without a per-push broadcast.
-    cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-      return !injection_.empty() ||
-             (stopping_.load(std::memory_order_seq_cst) &&
-              outstanding_.load(std::memory_order_seq_cst) == 0);
-    });
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    run(std::move(task), lock);
   }
 }
 
 ThreadPool::TaskGroup::~TaskGroup() { drain(); }
 
 void ThreadPool::TaskGroup::drain() noexcept {
-  std::size_t spins = 0;
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    if (detail::TaskNode* node = pool_.find_work()) {
-      pool_.run_node(node);
-      spins = 0;
-      continue;
+  auto& queue = pool_.queue_;
+  std::unique_lock<std::mutex> lock(pool_.mutex_);
+  while (pending_ != 0) {
+    if (queue.empty()) {
+      // Our tasks are all running on other threads, and only this thread
+      // spawns into the group, so none can be queued before they finish.
+      pool_.done_cv_.wait(lock, [this] { return pending_ == 0; });
+      return;
     }
-    // Our tasks are all in flight on other threads; give them the core.
-    g_tm_help_iterations.increment();
-    if (++spins < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    // Our own newest task first: running another group's task here could
+    // hold this group's waiter behind a long, unrelated case.
+    const auto own =
+        std::find_if(queue.rbegin(), queue.rend(),
+                     [this](const Task& t) { return t.group == this; });
+    const auto pick =
+        own != queue.rend() ? std::prev(own.base()) : queue.begin();
+    Task task = std::move(*pick);
+    queue.erase(pick);
+    pool_.run(std::move(task), lock);
   }
 }
 
 void ThreadPool::TaskGroup::wait() {
   drain();
   if (exception_) {
-    std::exception_ptr ex = std::exchange(exception_, nullptr);
-    std::rethrow_exception(ex);
-  }
-}
-
-void ThreadPool::TaskGroup::capture(std::exception_ptr ex) noexcept {
-  std::lock_guard<std::mutex> lock(exception_mutex_);
-  if (!exception_) {
-    exception_ = ex;
+    std::rethrow_exception(std::exchange(exception_, nullptr));
   }
 }
 

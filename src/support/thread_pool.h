@@ -1,108 +1,55 @@
-// Work-stealing thread pool used to fan parameter sweeps, Monte-Carlo
-// ratio experiments, and nested experiment/task parallelism across cores.
+// Thread pool used to fan parameter sweeps, Monte-Carlo ratio experiments,
+// and nested experiment/task parallelism across cores.
 //
-// Design notes (shared-memory parallel idioms):
-//  * one Chase-Lev deque per worker (owner pushes/pops at the bottom,
-//    thieves CAS the top); a mutex-protected injection queue accepts work
-//    from non-worker threads. All deque indices and cells use seq_cst
-//    atomics -- strictly stronger than the published orderings (Le et al.,
-//    "Correct and Efficient Work-Stealing for Weak Memory Models") and free
-//    of standalone fences, which keeps ThreadSanitizer precise. Tasks here
-//    are coarse (a whole simulation or experiment each), so the stronger
-//    orderings cost nothing measurable;
+// Design notes:
+//  * one mutex-guarded task queue shared by every thread. Tasks are coarse
+//    (a whole simulation or experiment each), so the single lock costs
+//    nothing measurable; docs/PERF.md §3 has the ablation against
+//    per-worker work-stealing deques;
 //  * TaskGroup provides *nesting*: a task that spawns subtasks and calls
-//    wait() helps execute queued work (its own deque first, then the
-//    injection queue, then stealing) instead of blocking a worker. One pool
-//    can therefore run an outer experiment fan-out and the experiments'
-//    inner loops without deadlock or oversubscription;
-//  * std::jthread workers joined in the destructor (RAII -- no detached
-//    threads, no leaks on exceptions); the destructor drains every task
-//    that was ever enqueued before returning;
-//  * exceptions: submit() futures carry them as before; TaskGroup captures
-//    the first subtask exception and rethrows it exactly once from wait(),
-//    even when the throwing task was stolen by another worker.
+//    wait() runs queued tasks -- its own group's newest first, then the
+//    oldest of any group -- instead of blocking a worker. One pool can
+//    therefore run an outer experiment fan-out and the experiments' inner
+//    loops without deadlock or oversubscription, even with one thread.
+//    Only when nothing is queued does wait() sleep, until its group's
+//    last task finishes;
+//  * two condition variables: workers sleep on one until a task is
+//    queued, waiters on the other until a group finishes, so neither
+//    event wakes the threads that cannot use it (waking every idle
+//    worker at each group's end cost the miner's many small batches
+//    about a third of their time);
+//  * std::jthread workers are joined in the destructor (RAII -- no
+//    detached threads). A group waits for all of its tasks before it is
+//    destroyed, so no task outlives the pool;
+//  * exceptions: TaskGroup captures the first subtask exception and
+//    rethrows it exactly once from wait(), whichever thread ran the task.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
-#include <future>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace fjs {
 
-class ThreadPool;
-
-namespace detail {
-
-/// Type-erased unit of pool work. Nodes are heap-allocated at enqueue time
-/// and deleted by whichever thread executes them. execute() must not throw:
-/// submit() nodes park exceptions in their future, TaskGroup nodes park
-/// them in the group.
-struct TaskNode {
-  virtual ~TaskNode() = default;
-  virtual void execute() noexcept = 0;
-};
-
-/// Chase-Lev work-stealing deque of TaskNode pointers. push()/pop() are
-/// owner-only; steal() is safe from any thread. Grows by ring doubling;
-/// retired rings are kept on a chain until destruction so a racing thief
-/// never reads freed cells.
-class WorkDeque {
- public:
-  WorkDeque() : ring_(new Ring(kInitialCapacity)) {}
-  ~WorkDeque();
-
-  WorkDeque(const WorkDeque&) = delete;
-  WorkDeque& operator=(const WorkDeque&) = delete;
-
-  void push(TaskNode* node);  // owner only
-  TaskNode* pop();            // owner only; nullptr when empty
-  TaskNode* steal();          // any thread; nullptr when empty or lost race
-
- private:
-  struct Ring {
-    explicit Ring(std::size_t cap)
-        : capacity(cap), mask(cap - 1),
-          cells(new std::atomic<TaskNode*>[cap]) {}
-    TaskNode* get(std::int64_t i) const {
-      return cells[static_cast<std::size_t>(i) & mask].load(
-          std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, TaskNode* node) {
-      cells[static_cast<std::size_t>(i) & mask].store(
-          node, std::memory_order_relaxed);
-    }
-    std::size_t capacity;
-    std::size_t mask;
-    std::unique_ptr<std::atomic<TaskNode*>[]> cells;
-    Ring* prev = nullptr;  // retired predecessor, freed in ~WorkDeque
-  };
-
-  static constexpr std::size_t kInitialCapacity = 64;  // power of two
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Ring*> ring_;
-};
-
-}  // namespace detail
+/// Upper bound on a pool's worker count; larger requests are rejected
+/// before any thread starts.
+inline constexpr std::size_t kMaxThreads = 1024;
 
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (at least 1).
+  /// (at least 1, at most kMaxThreads). Throws AssertionError when
+  /// `threads` exceeds kMaxThreads. If a worker fails to start, the ones
+  /// already running are stopped and joined and the error is rethrown.
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Drains outstanding work, then joins all workers.
+  /// Stops and joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -110,22 +57,12 @@ class ThreadPool {
 
   std::size_t thread_count() const { return threads_.size(); }
 
-  /// Enqueues a task; the future carries the result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto* node = new FutureNode<R, std::decay_t<F>>(std::forward<F>(fn));
-    std::future<R> fut = node->task.get_future();
-    enqueue(node);
-    return fut;
-  }
-
   /// A set of spawned subtasks awaited together. wait() *helps*: the
-  /// waiting thread executes queued pool work (including work from other
+  /// waiting thread runs queued pool work (including work from other
   /// groups) until every subtask of this group has finished, so groups
   /// nest arbitrarily deep on a single pool -- even a pool of one thread.
-  /// The first exception thrown by any subtask -- local or stolen -- is
-  /// rethrown exactly once from wait(); later exceptions are dropped.
+  /// The first exception thrown by any subtask is rethrown exactly once
+  /// from wait(); later exceptions are dropped.
   class TaskGroup {
    public:
     explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
@@ -134,11 +71,16 @@ class ThreadPool {
     TaskGroup(const TaskGroup&) = delete;
     TaskGroup& operator=(const TaskGroup&) = delete;
 
-    /// Spawns fn() as a pool task belonging to this group.
+    /// Spawns fn() as a pool task belonging to this group. Call it only
+    /// from the thread that calls wait(): a waiter sleeps once none of
+    /// its tasks are queued, and nothing else would wake it for a task
+    /// spawned into its group afterwards.
     template <typename F>
-    void run(F&& fn);
+    void run(F&& fn) {
+      pool_.enqueue(this, std::function<void()>(std::forward<F>(fn)));
+    }
 
-    /// Helps execute pool work until all spawned tasks finished, then
+    /// Helps run pool work until all spawned tasks finished, then
     /// rethrows the first captured exception (if any).
     void wait();
 
@@ -146,70 +88,35 @@ class ThreadPool {
     friend class ThreadPool;
 
     void drain() noexcept;
-    void capture(std::exception_ptr ex) noexcept;
-    void finish_one() noexcept {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
 
     ThreadPool& pool_;
-    std::atomic<std::size_t> pending_{0};
-    std::mutex exception_mutex_;
+    // Both guarded by pool_.mutex_.
+    std::size_t pending_ = 0;
     std::exception_ptr exception_;
   };
 
  private:
-  template <typename R, typename F>
-  struct FutureNode final : detail::TaskNode {
-    explicit FutureNode(F&& fn) : task(std::move(fn)) {}
-    explicit FutureNode(const F& fn) : task(fn) {}
-    void execute() noexcept override { task(); }  // exception -> future
-    std::packaged_task<R()> task;
-  };
-
-  template <typename F>
-  struct GroupNode final : detail::TaskNode {
-    GroupNode(TaskGroup* g, F&& body) : group(g), fn(std::move(body)) {}
-    GroupNode(TaskGroup* g, const F& body) : group(g), fn(body) {}
-    void execute() noexcept override {
-      try {
-        fn();
-      } catch (...) {
-        group->capture(std::current_exception());
-      }
-      group->finish_one();
-    }
+  struct Task {
     TaskGroup* group;
-    F fn;
+    std::function<void()> fn;
   };
 
-  struct Worker {
-    detail::WorkDeque deque;
-  };
-
-  /// Routes a node to the calling worker's own deque (cheap, stealable) or
-  /// to the injection queue when called from outside the pool.
-  void enqueue(detail::TaskNode* node);
-  /// Own deque -> injection queue -> steal sweep; nullptr when idle.
-  /// Safe from non-worker threads (which skip the own-deque step).
-  detail::TaskNode* find_work();
-  void run_node(detail::TaskNode* node) noexcept;
-  void worker_loop(std::size_t index);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::jthread> threads_;
+  void enqueue(TaskGroup* group, std::function<void()> fn);
+  /// Runs `task` with `lock` released, then records its completion in its
+  /// group under the reacquired lock.
+  void run(Task task, std::unique_lock<std::mutex>& lock) noexcept;
+  void worker_loop();
+  void stop() noexcept;
 
   std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<detail::TaskNode*> injection_;
-  std::atomic<std::size_t> outstanding_{0};  // enqueued, not yet finished
-  std::atomic<bool> stopping_{false};
+  std::condition_variable work_cv_;  // a task was queued, or stopping
+  std::condition_variable done_cv_;  // some group's last task finished
+  std::deque<Task> queue_;
+  bool stopping_ = false;
+  // Declared last so the workers are joined before the state they use is
+  // destroyed.
+  std::vector<std::jthread> threads_;
 };
-
-template <typename F>
-void ThreadPool::TaskGroup::run(F&& fn) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  pool_.enqueue(new GroupNode<std::decay_t<F>>(this, std::forward<F>(fn)));
-}
 
 /// Process-wide pool for the analysis helpers. Created on first use.
 ThreadPool& global_pool();

@@ -261,7 +261,7 @@ TEST(Portfolio, ParallelGridMatchesSerialAcrossThreadCounts) {
       serial_for(cases.size(), run_case);
     } else {
       ThreadPool pool(threads);
-      parallel_for(pool, cases.size(), run_case, 1, ChunkPolicy::kDynamic);
+      parallel_for(pool, cases.size(), run_case);
     }
     return grid;
   };
