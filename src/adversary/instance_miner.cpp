@@ -366,21 +366,11 @@ class BatchEvaluator {
 MinerResult mine_instance(
     const std::function<double(const Instance&)>& objective,
     MinerOptions options) {
+  // Bridge: materialize an owning Instance per fresh evaluation.
+  // Objectives on the hot path take InstanceView instead.
   return mine_instance(
-      [&objective](const Instance& instance, double) {
-        return objective(instance);
-      },
-      std::move(options));
-}
-
-MinerResult mine_instance(
-    const std::function<double(const Instance&, double)>& objective,
-    MinerOptions options) {
-  // Compatibility bridge: materialize an owning Instance per fresh
-  // evaluation. Objectives on the hot path take InstanceView instead.
-  return mine_instance(
-      ViewObjective([&objective](InstanceView view, double threshold) {
-        return objective(Instance(JobTable(view)), threshold);
+      ViewObjective([&objective](InstanceView view, double) {
+        return objective(Instance(JobTable(view)));
       }),
       std::move(options));
 }

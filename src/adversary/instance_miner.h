@@ -94,8 +94,17 @@ MinerResult mine_instance(
     const std::function<double(const Instance&)>& objective,
     MinerOptions options = {});
 
-/// Threshold-aware form: the miner passes the running incumbent best value
-/// at batch-generation time (0.0 only before any candidate has been
+/// Columnar core the Instance overload funnels into. The objective reads
+/// the candidate through a non-owning InstanceView over the miner's
+/// mutation scratch table — no Instance is materialized for rejected
+/// candidates (the miner applies each single-row patch in place with an
+/// undo record and keeps the incumbent as a bare JobTable; the one owning
+/// Instance is built for the final result). The Instance overload above
+/// bridges by materializing per fresh evaluation; hot objectives
+/// (mine_worst_case's certification loop) use this form directly.
+///
+/// The miner also passes the running incumbent best value at
+/// batch-generation time (0.0 only before any candidate has been
 /// evaluated; seeding runs in fixed sub-batches whose threshold is the max
 /// over all earlier sub-batches). A candidate whose objective provably
 /// cannot exceed `threshold` may be settled with any deterministic value
@@ -106,19 +115,6 @@ MinerResult mine_instance(
 /// settled values stay unselectable forever and the mined trajectory,
 /// worst instance and evaluation counts are identical to the exact-only
 /// objective for any pool size and memo setting.
-MinerResult mine_instance(
-    const std::function<double(const Instance&, double threshold)>& objective,
-    MinerOptions options = {});
-
-/// Columnar core all overloads funnel into: like the threshold-aware form,
-/// but the objective reads the candidate through a non-owning InstanceView
-/// over the miner's mutation scratch table — no Instance is materialized
-/// for rejected candidates (the miner applies each single-row patch in
-/// place with an undo record and keeps the incumbent as a bare JobTable;
-/// the one owning Instance is built for the final result). The
-/// Instance-objective overloads above bridge by materializing per fresh
-/// evaluation; hot objectives (mine_worst_case's certification loop) use
-/// this form directly.
 MinerResult mine_instance(
     const std::function<double(InstanceView view, double threshold)>&
         objective,

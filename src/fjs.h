@@ -50,7 +50,6 @@
 #include "sim/source.h"
 #include "sim/trace.h"
 #include "sim/trace_check.h"
-#include "support/object_pool.h"
 #include "support/telemetry.h"
 #include "offline/annealing.h"
 #include "workload/cloud_trace.h"

@@ -17,6 +17,7 @@
 #include "schedulers/registry.h"
 #include "sim/engine.h"
 #include "sim/portfolio.h"
+#include "sim/source.h"
 #include "sim/trace_check.h"
 #include "support/assert.h"
 
@@ -35,6 +36,44 @@ Time recomputed_span(const Instance& instance, const Schedule& schedule) {
   return set.measure();
 }
 
+/// First difference between two full results of the same run, or nullopt.
+std::optional<std::string> result_difference(const SimulationResult& a,
+                                             const SimulationResult& b) {
+  if (a.realized_span != b.realized_span) {
+    return "span " + a.realized_span.to_string() + " vs " +
+           b.realized_span.to_string();
+  }
+  if (a.event_count != b.event_count) {
+    return "event_count " + std::to_string(a.event_count) + " vs " +
+           std::to_string(b.event_count);
+  }
+  if (a.instance.size() != b.instance.size()) {
+    return "job count " + std::to_string(a.instance.size()) + " vs " +
+           std::to_string(b.instance.size());
+  }
+  for (JobId id = 0; id < a.instance.size(); ++id) {
+    const Job& x = a.instance.job(id);
+    const Job& y = b.instance.job(id);
+    if (x.arrival != y.arrival || x.deadline != y.deadline ||
+        x.length != y.length || a.schedule.start(id) != b.schedule.start(id)) {
+      return "job " + std::to_string(id) + " differs";
+    }
+  }
+  if (a.trace.size() != b.trace.size()) {
+    return "trace length " + std::to_string(a.trace.size()) + " vs " +
+           std::to_string(b.trace.size());
+  }
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    const TraceEntry& x = a.trace.entry(i);
+    const TraceEntry& y = b.trace.entry(i);
+    if (x.time != y.time || x.kind != y.kind || x.job != y.job ||
+        x.detail != y.detail) {
+      return "trace entry " + std::to_string(i) + " differs";
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_simulation(const Instance& instance,
                                             const SchedulerSpec& spec,
                                             bool clairvoyant,
@@ -42,19 +81,27 @@ std::optional<std::string> check_simulation(const Instance& instance,
   const auto scheduler = spec.make();
   SimulationResult result;
   try {
-    // Portfolio full mode (one entry per model so an exception stays
-    // attributed to the model that threw): identical replay to the classic
-    // simulate() path, but the prepared timeline, engine workspace and
-    // scheduler context are amortized across the fuzzer's many calls.
-    const PortfolioEntry entry{scheduler.get(), clairvoyant};
-    PortfolioOptions portfolio_options;
-    portfolio_options.record_trace = true;
-    auto results = simulate_portfolio(
-        instance, std::span<const PortfolioEntry>(&entry, 1),
-        portfolio_options);
-    result = std::move(results.front());
+    result = simulate(instance, *scheduler, clairvoyant,
+                      /*record_trace=*/true);
   } catch (const std::exception& e) {
     return std::string("simulation threw: ") + e.what();
+  }
+  // The same instance through the engine's release path (StaticSource):
+  // simulate() replays prepared columns, and the two must agree exactly.
+  SimulationResult released;
+  try {
+    const auto reference = spec.make();
+    StaticSource source(instance);
+    NoDeferralOracle oracle;
+    Engine engine(source, oracle, *reference,
+                  EngineOptions{.clairvoyant = clairvoyant,
+                                .record_trace = true});
+    released = engine.run();
+  } catch (const std::exception& e) {
+    return std::string("release-path replay threw: ") + e.what();
+  }
+  if (auto diff = result_difference(result, released)) {
+    return "prepared replay differs from the release path: " + *diff;
   }
   if (!result.schedule.is_valid(result.instance)) {
     return std::string("schedule is invalid");
@@ -199,9 +246,10 @@ Oracle offline_sandwich_oracle(const OracleOptions& options) {
           entries.push_back(
               PortfolioEntry{schedulers.back().get(), /*clairvoyant=*/true});
         }
-        PortfolioSpanResult online;
+        thread_local PortfolioRunner runner;
+        std::vector<Time> online;
         try {
-          online = simulate_portfolio_spans(instance, entries);
+          runner.run_spans(instance, entries, online);
         } catch (const std::exception&) {
           for (std::size_t s = 0; s < specs.size(); ++s) {
             Time span;
@@ -220,9 +268,9 @@ Oracle offline_sandwich_oracle(const OracleOptions& options) {
           throw;  // unreachable: the batched replay is the same run sequence
         }
         for (std::size_t s = 0; s < specs.size(); ++s) {
-          if (online.spans[s] < exact.span) {
+          if (online[s] < exact.span) {
             return "online " + specs[s].key + " span " +
-                   online.spans[s].to_string() + " beats OPT " +
+                   online[s].to_string() + " beats OPT " +
                    exact.span.to_string();
           }
         }
@@ -457,7 +505,7 @@ Oracle view_vs_owned_oracle() {
         }
         // Spans: the view-based single-entry replay (the miner's hot loop)
         // against the owning-path replay, in both clairvoyance models.
-        PortfolioRunner runner;
+        thread_local PortfolioRunner runner;
         const auto eager = make_scheduler("eager");
         for (const bool clairvoyant : {true, false}) {
           const PortfolioEntry entry{eager.get(), clairvoyant};

@@ -75,18 +75,6 @@ Engine::Engine(JobSource& source, LengthOracle& oracle,
       now_(Time::min()),
       context_(*this) {
   adopt_workspace();
-  if (options_.reserve_jobs > 0) {
-    const std::size_t n = options_.reserve_jobs;
-    jobs_.reserve(n);
-    pending_view_.reserve(n);
-    running_view_.reserve(n);
-    // With arrivals outside the heap, heap occupancy tracks outstanding
-    // jobs (their deadline + completion events), not total jobs; still
-    // reserve for the worst case so adversarial sources never reallocate
-    // mid-run. The release-path buffers are reserved in drive(), only if
-    // the run was not preloaded.
-    heap_.reserve(2 * n + 16);
-  }
 }
 
 Engine::~Engine() = default;
@@ -136,11 +124,17 @@ void Engine::preload_static(std::span<const Time> arrivals,
                   arrivals.size() == lengths.size(),
               "preload_static: columns differ in length");
   const std::size_t n = arrivals.size();
-  // assign() reuses the adopted workspace capacity: once warm, a preload
-  // writes n small records and allocates nothing.
+  // assign() and reserve() reuse the adopted workspace capacity: once
+  // warm, a preload writes n small records and allocates nothing.
   JobRecord known;
   known.length_known = true;
   jobs_.assign(n, known);
+  pending_view_.reserve(n);
+  running_view_.reserve(n);
+  // With arrivals outside the heap, heap occupancy tracks outstanding
+  // jobs (their deadline + completion events), not total jobs; reserve
+  // for the worst case so a run never reallocates mid-way.
+  heap_.reserve(2 * n + 16);
   arrival_ = arrivals.data();
   deadline_ = deadlines.data();
   length_ = lengths.data();
@@ -476,13 +470,6 @@ void Engine::drive() {
   // A preloaded run already holds its whole timeline: the source is never
   // consulted.
   if (!preloaded_) {
-    if (options_.reserve_jobs > 0) {
-      const std::size_t n = options_.reserve_jobs;
-      released_arrival_.reserve(n);
-      released_deadline_.reserve(n);
-      released_length_.reserve(n);
-      staged_.reserve(n);
-    }
     apply(source_.begin());
   }
   started_ = true;
@@ -553,37 +540,6 @@ Time Engine::run_span(std::vector<Time>* starts_out) {
   const Time span = span_.span();
   recycle_workspace();
   return span;
-}
-
-SimulationResult simulate(const Instance& instance, OnlineScheduler& scheduler,
-                          bool clairvoyant, bool record_trace) {
-  const EngineWorkspacePool::Lease workspace = engine_workspace_pool().acquire();
-  StaticSource source(instance);
-  NoDeferralOracle oracle;
-  Engine engine(source, oracle, scheduler,
-                EngineOptions{.clairvoyant = clairvoyant,
-                              .record_trace = record_trace,
-                              .reserve_jobs = instance.size()},
-                workspace.get());
-  return engine.run();
-}
-
-Time simulate_span(const Instance& instance, OnlineScheduler& scheduler,
-                   bool clairvoyant) {
-  const EngineWorkspacePool::Lease workspace = engine_workspace_pool().acquire();
-  StaticSource source(instance);
-  NoDeferralOracle oracle;
-  Engine engine(source, oracle, scheduler,
-                EngineOptions{.clairvoyant = clairvoyant,
-                              .record_trace = false,
-                              .reserve_jobs = instance.size()},
-                workspace.get());
-  return engine.run_span();
-}
-
-EngineWorkspacePool& engine_workspace_pool() {
-  static EngineWorkspacePool pool;
-  return pool;
 }
 
 }  // namespace fjs

@@ -10,6 +10,16 @@
 //     lengths after starts),
 //   * the OnlineScheduler under test.
 //
+// Two ways in, one per kind of instance:
+//   * fixed instances: preload_static() installs a PreparedInstance's
+//     columns and the run never consults its source. simulate(),
+//     simulate_span() and every PortfolioRunner call take this path
+//     (sim/portfolio.h).
+//   * adaptive adversaries: Engine(source, oracle, scheduler) then run();
+//     jobs arrive through release() as the source reacts to the run.
+//     StaticSource replays a fixed instance the same way; tests and the
+//     fuzz oracles use it as the reference the preloaded path must match.
+//
 // Throughput notes: pending/running membership is the job's state; the
 // arrival-order and start-order vectors handed to schedulers are
 // append-ordered views compacted lazily (state filter, never a sort), only
@@ -31,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -45,7 +54,6 @@
 #include "sim/source.h"
 #include "sim/trace.h"
 #include "support/assert.h"
-#include "support/object_pool.h"
 
 namespace fjs {
 
@@ -56,9 +64,6 @@ struct EngineOptions {
   bool record_trace = false;
   /// Hard cap on processed events (runaway-adversary guard).
   std::size_t max_events = 50'000'000;
-  /// Expected number of released jobs; pre-sizes job/event/list storage so
-  /// large static runs don't pay vector growth. 0 = no pre-sizing.
-  std::size_t reserve_jobs = 0;
 };
 
 struct SimulationResult {
@@ -163,16 +168,16 @@ class Engine {
   /// without materializing an Instance/Schedule pair.
   Time run_span(std::vector<Time>* starts_out = nullptr);
 
-  /// Portfolio fast path: installs n prevalidated jobs, engine id i being
+  /// Static replay: installs n prevalidated jobs, engine id i being
   /// (arrivals[i], deadlines[i], lengths[i]) with arrivals nondecreasing,
   /// exactly as a StaticSource release stream would have produced them
   /// (job i's arrival carries seq i), without consulting a source. The
   /// columns are borrowed, not copied: they must outlive the run. Only
-  /// the per-job mutable state is initialized, in recycled storage, so a
-  /// warm workspace makes this allocation-free. Must be called before
-  /// run()/run_span(), with an empty engine; the run never consults its
-  /// JobSource (pass a null source). See sim/portfolio.h for the public
-  /// wrapper.
+  /// the per-job mutable state is initialized and the buffers are sized
+  /// from n, in recycled storage, so a warm workspace makes this
+  /// allocation-free. Must be called before run()/run_span(), with an
+  /// empty engine; the run never consults its JobSource (pass a null
+  /// source). See sim/portfolio.h for the public wrapper.
   void preload_static(std::span<const Time> arrivals,
                       std::span<const Time> deadlines,
                       std::span<const Time> lengths);
@@ -258,23 +263,18 @@ class Engine {
   detail::EngineContext context_;
 };
 
-/// Convenience wrapper: simulate a fixed instance. The returned result's
-/// instance has jobs in arrival order of `instance` (re-indexed); its
-/// schedule is validated before returning. Reuses a thread-local
-/// EngineWorkspace, so back-to-back calls don't pay per-run allocation.
+/// Simulates a fixed instance. The returned result's instance has jobs in
+/// arrival order of `instance` (re-indexed); its schedule is validated
+/// before returning. Runs through a thread-local PortfolioRunner (defined
+/// in portfolio.cpp), so back-to-back calls on one thread reuse its
+/// prepared columns and engine workspace.
 SimulationResult simulate(const Instance& instance, OnlineScheduler& scheduler,
                           bool clairvoyant, bool record_trace = false);
 
-/// Like simulate(), but returns the span only, via Engine::run_span() —
-/// no trace, no result construction, no second validation pass.
+/// Like simulate(), but returns the span only (PortfolioRunner::run_span):
+/// no trace, no result construction, no second validation pass. A warm
+/// thread allocates nothing.
 Time simulate_span(const Instance& instance, OnlineScheduler& scheduler,
                    bool clairvoyant);
-
-/// Per-thread free-list of engine workspaces. Call sites that used to
-/// hand-thread an EngineWorkspace through their loops acquire() a lease
-/// instead; the workspace returns to the calling thread's list when the
-/// lease dies, capacity ("warmth") intact.
-using EngineWorkspacePool = ObjectPool<EngineWorkspace>;
-EngineWorkspacePool& engine_workspace_pool();
 
 }  // namespace fjs

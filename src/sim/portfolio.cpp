@@ -14,6 +14,13 @@ class NullSource final : public JobSource {
   SourceAction begin() override { return {}; }
 };
 
+/// The runner behind simulate()/simulate_span(): one per thread, so a
+/// thread's back-to-back calls reuse its columns and workspace.
+PortfolioRunner& thread_runner() {
+  thread_local PortfolioRunner runner;
+  return runner;
+}
+
 }  // namespace
 
 void PreparedInstance::prepare(InstanceView view) {
@@ -57,57 +64,15 @@ void PreparedInstance::prepare(InstanceView view) {
   }
 }
 
-Time PortfolioRunner::shared_span(const PortfolioEntry& entry,
+Time PortfolioRunner::replay_span(const PortfolioEntry& entry,
                                   std::vector<Time>* starts_engine_order) {
   NullSource source;
   NoDeferralOracle oracle;
   Engine engine(source, oracle, *entry.scheduler,
-                EngineOptions{.clairvoyant = entry.clairvoyant,
-                              .record_trace = false,
-                              .reserve_jobs = prepared_.size()},
-                workspace_.get());
+                EngineOptions{.clairvoyant = entry.clairvoyant}, &workspace_);
   engine.preload_static(prepared_.arrivals(), prepared_.deadlines(),
                         prepared_.lengths());
   return engine.run_span(starts_engine_order);
-}
-
-Time PortfolioRunner::adaptive_span(const Instance& instance,
-                                    const PortfolioEntry& entry,
-                                    const PortfolioOptions& options) {
-  std::unique_ptr<JobSource> source;
-  if (options.source_factory) {
-    source = options.source_factory(instance);
-  } else {
-    source = std::make_unique<StaticSource>(instance);
-  }
-  std::unique_ptr<LengthOracle> oracle;
-  if (options.oracle_factory) {
-    oracle = options.oracle_factory(instance);
-  }
-  NoDeferralOracle no_deferral;
-  LengthOracle& oracle_ref = oracle ? *oracle : no_deferral;
-  Engine engine(*source, oracle_ref, *entry.scheduler,
-                EngineOptions{.clairvoyant = entry.clairvoyant,
-                              .record_trace = false,
-                              .reserve_jobs = instance.size()},
-                workspace_.get());
-  return engine.run_span();
-}
-
-bool PortfolioRunner::run_spans(const Instance& instance,
-                                std::span<const PortfolioEntry> entries,
-                                std::vector<Time>& spans_out,
-                                const PortfolioOptions& options) {
-  if (!options.adaptive()) {
-    run_spans(instance.view(), entries, spans_out);
-    return true;
-  }
-  // The realized timeline depends on scheduler behavior: never share.
-  spans_out.resize(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    spans_out[i] = adaptive_span(instance, entries[i], options);
-  }
-  return false;
 }
 
 void PortfolioRunner::run_spans(InstanceView view,
@@ -116,7 +81,7 @@ void PortfolioRunner::run_spans(InstanceView view,
   spans_out.resize(entries.size());
   prepared_.prepare(view);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    spans_out[i] = shared_span(entries[i], nullptr);
+    spans_out[i] = replay_span(entries[i], nullptr);
   }
 }
 
@@ -124,9 +89,9 @@ Time PortfolioRunner::run_span(InstanceView view, const PortfolioEntry& entry,
                                std::vector<Time>* starts_out) {
   prepared_.prepare(view);
   if (starts_out == nullptr) {
-    return shared_span(entry, nullptr);
+    return replay_span(entry, nullptr);
   }
-  const Time span = shared_span(entry, &starts_scratch_);
+  const Time span = replay_span(entry, &starts_scratch_);
   // Engine order is arrival order; hand the caller starts under the
   // instance's own ids.
   starts_out->resize(starts_scratch_.size());
@@ -137,75 +102,31 @@ Time PortfolioRunner::run_span(InstanceView view, const PortfolioEntry& entry,
   return span;
 }
 
-Time PortfolioRunner::run_span(const Instance& instance,
-                               const PortfolioEntry& entry,
-                               std::vector<Time>* starts_out,
-                               const PortfolioOptions& options) {
-  if (options.adaptive()) {
-    FJS_REQUIRE(starts_out == nullptr,
-                "run_span: start capture requires the shared timeline");
-    return adaptive_span(instance, entry, options);
-  }
-  return run_span(instance.view(), entry, starts_out);
+SimulationResult PortfolioRunner::run_full(InstanceView view,
+                                           const PortfolioEntry& entry,
+                                           bool record_trace) {
+  prepared_.prepare(view);
+  NullSource source;
+  NoDeferralOracle oracle;
+  Engine engine(source, oracle, *entry.scheduler,
+                EngineOptions{.clairvoyant = entry.clairvoyant,
+                              .record_trace = record_trace},
+                &workspace_);
+  engine.preload_static(prepared_.arrivals(), prepared_.deadlines(),
+                        prepared_.lengths());
+  return engine.run();
 }
 
-std::vector<SimulationResult> PortfolioRunner::run_full(
-    const Instance& instance, std::span<const PortfolioEntry> entries,
-    const PortfolioOptions& options) {
-  std::vector<SimulationResult> results;
-  results.reserve(entries.size());
-  const bool adaptive = options.adaptive();
-  if (!adaptive) {
-    prepared_.prepare(instance);
-  }
-  for (const PortfolioEntry& entry : entries) {
-    const EngineOptions engine_options{.clairvoyant = entry.clairvoyant,
-                                       .record_trace = options.record_trace,
-                                       .reserve_jobs = instance.size()};
-    if (adaptive) {
-      std::unique_ptr<JobSource> source;
-      if (options.source_factory) {
-        source = options.source_factory(instance);
-      } else {
-        source = std::make_unique<StaticSource>(instance);
-      }
-      std::unique_ptr<LengthOracle> oracle;
-      if (options.oracle_factory) {
-        oracle = options.oracle_factory(instance);
-      }
-      NoDeferralOracle no_deferral;
-      LengthOracle& oracle_ref = oracle ? *oracle : no_deferral;
-      Engine engine(*source, oracle_ref, *entry.scheduler, engine_options,
-                    workspace_.get());
-      results.push_back(engine.run());
-    } else {
-      NullSource source;
-      NoDeferralOracle oracle;
-      Engine engine(source, oracle, *entry.scheduler, engine_options,
-                    workspace_.get());
-      engine.preload_static(prepared_.arrivals(), prepared_.deadlines(),
-                            prepared_.lengths());
-      results.push_back(engine.run());
-    }
-  }
-  return results;
+SimulationResult simulate(const Instance& instance, OnlineScheduler& scheduler,
+                          bool clairvoyant, bool record_trace) {
+  return thread_runner().run_full(
+      instance.view(), PortfolioEntry{&scheduler, clairvoyant}, record_trace);
 }
 
-PortfolioSpanResult simulate_portfolio_spans(
-    const Instance& instance, std::span<const PortfolioEntry> entries,
-    const PortfolioOptions& options) {
-  thread_local PortfolioRunner runner;
-  PortfolioSpanResult result;
-  result.shared_timeline = runner.run_spans(instance, entries, result.spans,
-                                            options);
-  return result;
-}
-
-std::vector<SimulationResult> simulate_portfolio(
-    const Instance& instance, std::span<const PortfolioEntry> entries,
-    const PortfolioOptions& options) {
-  thread_local PortfolioRunner runner;
-  return runner.run_full(instance, entries, options);
+Time simulate_span(const Instance& instance, OnlineScheduler& scheduler,
+                   bool clairvoyant) {
+  return thread_runner().run_span(instance.view(),
+                                  PortfolioEntry{&scheduler, clairvoyant});
 }
 
 }  // namespace fjs

@@ -1,36 +1,31 @@
-// Batched portfolio simulation kernel: evaluate one instance under many
+// Static replay kernel: evaluate fixed instances under one or many
 // schedulers while paying the per-instance setup once.
 //
-// Every heavy consumer in the repo (the worst-case miner, the fuzz
-// oracles, the ratio sweeps) asks "what does scheduler S do on instance
-// I?" for several S per I. A plain simulate() call re-derives the arrival
-// order, re-builds a StaticSource release vector, and allocates a fresh
-// scheduler context for every run. The kernel instead *prepares* the
-// instance once — arrival, deadline and length columns in exactly the
-// order a StaticSource replay would release them (engine id i = arrival
-// seq i) — and replays the prepared timeline for each portfolio entry
-// through Engine::preload_static, which reads those columns in place
-// rather than copying them. The replay is bit-identical to the classic path
-// (same events, same seqs, same tie-breaking), which the portfolio
-// determinism tests pin down. Every replay runs from t=0: the miner's
-// candidates are ~10 jobs, a whole replay is a few hundred events, and
-// resuming from mid-run checkpoints cost more than the suffix it saved
-// (docs/PERF.md §4).
+// Every fixed-instance simulation in the library goes through here:
+// simulate() and simulate_span() run on a thread-local PortfolioRunner,
+// and the heavy consumers (the worst-case miner, the fuzz oracles, the
+// ratio sweeps) hold their own long-lived or thread-local runners. The
+// runner *prepares* the instance once — arrival, deadline and length
+// columns in exactly the order a StaticSource replay would release them
+// (engine id i = arrival seq i) — and replays the prepared timeline for
+// each portfolio entry through Engine::preload_static, which reads those
+// columns in place rather than copying them. The replay is bit-identical
+// to the release path (same events, same seqs, same tie-breaking), which
+// the portfolio determinism tests and the fuzz oracles pin against a
+// StaticSource replay. Every replay runs from t=0: the miner's candidates
+// are ~10 jobs, a whole replay is a few hundred events, and resuming from
+// mid-run checkpoints cost more than the suffix it saved (docs/PERF.md §4).
 //
 // The span-only mode (run_spans/run_span) skips Instance/Schedule
-// materialization entirely and, with a warm workspace, performs ZERO heap
+// materialization entirely and, with a warm runner, performs ZERO heap
 // allocations per simulation — asserted under FJS_COUNT_ALLOCS (see
 // support/alloc_counter.h and docs/PERF.md).
 //
-// Adaptive adversaries: a source or oracle factory in PortfolioOptions
-// marks the instance as adaptive — the realized timeline then depends on
-// the scheduler's own actions, so sharing a prepared timeline would be
-// unsound. The runner detects this and automatically falls back to
-// per-run sources/oracles (shared_timeline() reports which path ran).
+// Adaptive adversaries do not come through here: their timeline depends
+// on the scheduler's own actions, so they drive an Engine with their
+// JobSource/LengthOracle directly (sim/engine.h).
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -43,22 +38,6 @@ namespace fjs {
 struct PortfolioEntry {
   OnlineScheduler* scheduler = nullptr;
   bool clairvoyant = false;
-};
-
-struct PortfolioOptions {
-  /// Record a full event trace in full-result mode (ignored by span mode).
-  bool record_trace = false;
-  /// Adaptive-adversary gate: when either factory is set the prepared
-  /// timeline is NOT shared; every entry gets a fresh source/oracle pair
-  /// built by the factories (a missing factory falls back to
-  /// StaticSource / NoDeferralOracle).
-  std::function<std::unique_ptr<JobSource>(const Instance&)> source_factory;
-  std::function<std::unique_ptr<LengthOracle>(const Instance&)> oracle_factory;
-
-  bool adaptive() const {
-    return static_cast<bool>(source_factory) ||
-           static_cast<bool>(oracle_factory);
-  }
 };
 
 /// An instance lowered to the engine's replay format: arrival, deadline
@@ -98,76 +77,50 @@ class PreparedInstance {
   std::vector<JobId> original_ids_;
 };
 
-/// Span-only portfolio result (convenience-function form).
-struct PortfolioSpanResult {
-  std::vector<Time> spans;        ///< one per portfolio entry, same order
-  bool shared_timeline = false;   ///< prepared fast path used (not adaptive)
-};
-
-/// Replays one instance under a portfolio of schedulers. Holds the
-/// prepared timeline, a leased engine workspace, and scratch buffers, so
-/// a long-lived runner reaches a zero-allocation steady state in span
-/// mode. Not thread-safe: use one runner per thread.
+/// Replays fixed instances under a portfolio of schedulers. Holds the
+/// prepared timeline, an engine workspace and scratch buffers, so a
+/// long-lived (or thread-local) runner reaches a zero-allocation steady
+/// state in span mode. Not thread-safe: use one runner per thread.
 class PortfolioRunner {
  public:
-  PortfolioRunner() : workspace_(engine_workspace_pool().acquire()) {}
-
-  /// Span-only batch: spans_out[i] is entry i's span on `instance`.
-  /// Returns true when the shared prepared timeline was used (always,
-  /// unless options carry adaptive factories).
-  bool run_spans(const Instance& instance,
-                 std::span<const PortfolioEntry> entries,
-                 std::vector<Time>& spans_out,
-                 const PortfolioOptions& options = {});
-
-  /// View form of the span batch. Shared-timeline only: the adaptive
-  /// factories need an owning Instance, so options must not carry any.
+  /// Span-only batch: spans_out[i] is entry i's span on `view`.
   void run_spans(InstanceView view, std::span<const PortfolioEntry> entries,
                  std::vector<Time>& spans_out);
+  void run_spans(const Instance& instance,
+                 std::span<const PortfolioEntry> entries,
+                 std::vector<Time>& spans_out) {
+    run_spans(instance.view(), entries, spans_out);
+  }
 
-  /// Single-entry span fast path. If `starts_out` is non-null it is
-  /// filled with the scheduler's chosen start times indexed by the
-  /// instance's own job ids — the online schedule without materializing a
-  /// Schedule. Requires the non-adaptive (shared-timeline) path.
-  Time run_span(const Instance& instance, const PortfolioEntry& entry,
-                std::vector<Time>* starts_out = nullptr,
-                const PortfolioOptions& options = {});
-
-  /// View form of the single-entry span path (always shared-timeline).
-  /// This is the miner's hot loop: a scratch JobTable is evaluated
+  /// Single-entry span path. If `starts_out` is non-null it is filled
+  /// with the scheduler's chosen start times indexed by the instance's own
+  /// job ids — the online schedule without materializing a Schedule. On a
+  /// view this is the miner's hot loop: a scratch JobTable is evaluated
   /// without materializing an Instance.
   Time run_span(InstanceView view, const PortfolioEntry& entry,
                 std::vector<Time>* starts_out = nullptr);
+  Time run_span(const Instance& instance, const PortfolioEntry& entry,
+                std::vector<Time>* starts_out = nullptr) {
+    return run_span(instance.view(), entry, starts_out);
+  }
+
+  /// Full-result mode, the body of simulate(): realized instance (jobs in
+  /// arrival order), validated schedule, optional trace.
+  SimulationResult run_full(InstanceView view, const PortfolioEntry& entry,
+                            bool record_trace = false);
 
   /// No-op. Kept only because the perfbench harness still calls it; it
   /// goes when the benchmark contract drops its prefix-replay metrics
   /// (ROADMAP item 1).
   void enable_prefix_replay() {}
 
-  /// Full-result mode: one SimulationResult per entry (realized instance,
-  /// validated schedule, optional trace). Still amortizes the prepared
-  /// timeline across entries on the non-adaptive path.
-  std::vector<SimulationResult> run_full(
-      const Instance& instance, std::span<const PortfolioEntry> entries,
-      const PortfolioOptions& options = {});
-
  private:
-  Time shared_span(const PortfolioEntry& entry,
+  Time replay_span(const PortfolioEntry& entry,
                    std::vector<Time>* starts_engine_order);
-  Time adaptive_span(const Instance& instance, const PortfolioEntry& entry,
-                     const PortfolioOptions& options);
 
   PreparedInstance prepared_;
   std::vector<Time> starts_scratch_;
-  EngineWorkspacePool::Lease workspace_;
+  EngineWorkspace workspace_;
 };
-
-/// Convenience wrappers over a thread-local PortfolioRunner.
-PortfolioSpanResult simulate_portfolio_spans(
-    const Instance& instance, std::span<const PortfolioEntry> entries,
-    const PortfolioOptions& options = {});
-std::vector<SimulationResult> simulate_portfolio(
-    const Instance& instance, std::span<const PortfolioEntry> entries,
-    const PortfolioOptions& options = {});
 
 }  // namespace fjs

@@ -4,16 +4,13 @@
 
 namespace fjs {
 
-StaticSource::StaticSource(const Instance& instance)
-    : StaticSource(instance.view()) {}
-
-StaticSource::StaticSource(InstanceView view) {
+StaticSource::StaticSource(const Instance& instance) {
+  const InstanceView view = instance.view();
   specs_.reserve(view.size());
   // Release in arrival order so engine job ids follow arrival order; ids of
   // the realized instance then match ids_by_arrival of the input.
   if (view.sorted_by_arrival()) {
-    // Already in (arrival, id) order — skip the O(n log n) id sort that
-    // every generated workload would otherwise pay per simulation.
+    // Already in (arrival, id) order — skip the O(n log n) id sort.
     for (std::size_t i = 0; i < view.size(); ++i) {
       const JobId id = static_cast<JobId>(i);
       specs_.push_back(JobSpec{.arrival = view.arrival(id),

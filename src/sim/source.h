@@ -61,13 +61,13 @@ class JobSource {
   }
 };
 
-/// Replays the jobs of a fixed Instance (lengths known up front).
+/// Replays the jobs of a fixed Instance (lengths known up front) through
+/// the engine's release path. Fixed instances are simulated through
+/// PortfolioRunner (sim/portfolio.h); this source is the release-path
+/// reference that tests and the fuzz oracles compare that replay against.
 class StaticSource final : public JobSource {
  public:
   explicit StaticSource(const Instance& instance);
-  /// Same replay over a non-owning view (e.g. a miner scratch buffer).
-  /// The view only needs to stay alive for the constructor call.
-  explicit StaticSource(InstanceView view);
 
   SourceAction begin() override;
 

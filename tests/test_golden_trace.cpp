@@ -19,7 +19,7 @@
 #include "schedulers/batch_plus.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
-#include "sim/portfolio.h"
+#include "sim/source.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
 
@@ -171,20 +171,27 @@ std::vector<std::pair<std::string, Instance>> static_instances() {
   return out;
 }
 
-std::vector<ReplayPin> static_pins(bool through_portfolio) {
+/// Which way a fixed instance is replayed: simulate() (prepared columns)
+/// or a StaticSource through the engine's release path.
+enum class StaticPath { kSimulate, kReleasePath };
+
+std::vector<ReplayPin> static_pins(StaticPath path) {
   std::vector<ReplayPin> pins;
-  PortfolioRunner runner;
-  PortfolioOptions options;
-  options.record_trace = true;
   for (const auto& [name, instance] : static_instances()) {
     for (const SchedulerSpec& spec : scheduler_registry()) {
       const auto scheduler = spec.make();
-      const PortfolioEntry entry{scheduler.get(), spec.clairvoyant};
-      const SimulationResult result =
-          through_portfolio
-              ? std::move(runner.run_full(instance, {&entry, 1}, options)[0])
-              : simulate(instance, *scheduler, spec.clairvoyant,
-                         /*record_trace=*/true);
+      SimulationResult result;
+      if (path == StaticPath::kSimulate) {
+        result = simulate(instance, *scheduler, spec.clairvoyant,
+                          /*record_trace=*/true);
+      } else {
+        StaticSource source(instance);
+        NoDeferralOracle oracle;
+        Engine engine(source, oracle, *scheduler,
+                      EngineOptions{.clairvoyant = spec.clairvoyant,
+                                    .record_trace = true});
+        result = engine.run();
+      }
       pins.push_back(pin_of(name + "/" + spec.key, result));
     }
   }
@@ -305,13 +312,12 @@ const std::vector<ReplayPin>& expected_static_pins() {
   return pins;
 }
 
-TEST(GoldenReplay, PortfolioRunFullMatchesPins) {
-  expect_pins(static_pins(/*through_portfolio=*/true), expected_static_pins());
+TEST(GoldenReplay, ReleasePathMatchesPins) {
+  expect_pins(static_pins(StaticPath::kReleasePath), expected_static_pins());
 }
 
 TEST(GoldenReplay, SimulateMatchesPins) {
-  expect_pins(static_pins(/*through_portfolio=*/false),
-              expected_static_pins());
+  expect_pins(static_pins(StaticPath::kSimulate), expected_static_pins());
 }
 
 TEST(GoldenReplay, AdaptiveAdversariesMatchPins) {

@@ -1,12 +1,11 @@
-// Portfolio kernel determinism: batched replays must be bit-identical to
-// the classic per-scheduler simulate()/simulate_span() paths — same
-// realized instance, same schedule, same trace, same span — for every
-// registry scheduler, both clairvoyance modes, any thread count, and with
-// buffer reuse across instances of different sizes. Also pins the
-// adaptive-adversary gate (factories disable timeline sharing) and, when
-// the build carries the FJS_COUNT_ALLOCS hook, the zero-steady-state-
-// allocation guarantee of the span-only path and of the engine's release
-// path (docs/PERF.md).
+// Static replay determinism: the prepared-column path (PortfolioRunner,
+// and simulate()/simulate_span() on top of it) must be bit-identical to
+// the engine's release path (a StaticSource replay) — same realized
+// instance, same schedule, same trace, same span — for every registry
+// scheduler, both clairvoyance modes, any thread count, and with buffer
+// reuse across instances of different sizes. When the build carries the
+// FJS_COUNT_ALLOCS hook, also pins the zero-steady-state-allocation
+// guarantee of the span-only path (docs/PERF.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,7 +21,6 @@
 #include "sim/portfolio.h"
 #include "sim/source.h"
 #include "support/alloc_counter.h"
-#include "support/assert.h"
 #include "support/parallel.h"
 #include "support/thread_pool.h"
 
@@ -92,31 +90,43 @@ void expect_same_result(const SimulationResult& classic,
   }
 }
 
-TEST(Portfolio, FullModeBitIdenticalToSimulate) {
+/// The engine's release path: a StaticSource replay, the reference the
+/// prepared-column path must reproduce bit for bit.
+SimulationResult release_path_run(const Instance& instance,
+                                  const std::string& key, bool clairvoyant) {
+  const auto scheduler = make_scheduler(key);
+  StaticSource source(instance);
+  NoDeferralOracle oracle;
+  Engine engine(source, oracle, *scheduler,
+                EngineOptions{.clairvoyant = clairvoyant,
+                              .record_trace = true});
+  return engine.run();
+}
+
+TEST(Portfolio, FullModeBitIdenticalToReleasePath) {
   PortfolioRunner runner;
-  PortfolioOptions options;
-  options.record_trace = true;
   for (const Instance& instance : test_instances()) {
-    auto named = registry_entries();
-    std::vector<PortfolioEntry> entries;
-    for (const auto& n : named) {
-      entries.push_back(PortfolioEntry{n.scheduler.get(), n.clairvoyant});
-    }
-    const auto results = runner.run_full(instance, entries, options);
-    ASSERT_EQ(results.size(), named.size());
-    for (std::size_t i = 0; i < named.size(); ++i) {
-      const auto classic_scheduler = make_scheduler(named[i].key);
-      const SimulationResult classic =
-          simulate(instance, *classic_scheduler, named[i].clairvoyant,
-                   /*record_trace=*/true);
-      expect_same_result(classic, results[i],
-                         named[i].key +
-                             (named[i].clairvoyant ? "/cv" : "/ncv"));
+    for (const NamedEntry& named : registry_entries()) {
+      const std::string label =
+          named.key + (named.clairvoyant ? "/cv" : "/ncv");
+      const SimulationResult reference =
+          release_path_run(instance, named.key, named.clairvoyant);
+      expect_same_result(
+          reference,
+          runner.run_full(instance.view(),
+                          PortfolioEntry{named.scheduler.get(),
+                                         named.clairvoyant},
+                          /*record_trace=*/true),
+          label + " run_full");
+      expect_same_result(reference,
+                         simulate(instance, *named.scheduler,
+                                  named.clairvoyant, /*record_trace=*/true),
+                         label + " simulate");
     }
   }
 }
 
-TEST(Portfolio, SpanModeMatchesSimulateSpan) {
+TEST(Portfolio, SpanModeMatchesReleasePath) {
   PortfolioRunner runner;
   std::vector<Time> spans;
   for (const Instance& instance : test_instances()) {
@@ -125,13 +135,19 @@ TEST(Portfolio, SpanModeMatchesSimulateSpan) {
     for (const auto& n : named) {
       entries.push_back(PortfolioEntry{n.scheduler.get(), n.clairvoyant});
     }
-    EXPECT_TRUE(runner.run_spans(instance, entries, spans));
+    runner.run_spans(instance, entries, spans);
     ASSERT_EQ(spans.size(), named.size());
     for (std::size_t i = 0; i < named.size(); ++i) {
       SCOPED_TRACE(named[i].key);
-      const auto classic_scheduler = make_scheduler(named[i].key);
-      EXPECT_EQ(spans[i], simulate_span(instance, *classic_scheduler,
-                                        named[i].clairvoyant));
+      const auto scheduler = make_scheduler(named[i].key);
+      StaticSource source(instance);
+      NoDeferralOracle oracle;
+      Engine engine(source, oracle, *scheduler,
+                    EngineOptions{.clairvoyant = named[i].clairvoyant});
+      const Time reference = engine.run_span();
+      EXPECT_EQ(spans[i], reference);
+      EXPECT_EQ(simulate_span(instance, *scheduler, named[i].clairvoyant),
+                reference);
     }
   }
 }
@@ -163,48 +179,6 @@ TEST(Portfolio, RunSpanStartsMapBackToInstanceIds) {
   const Schedule schedule = Schedule::from_starts(starts);
   schedule.validate(instance);
   EXPECT_EQ(schedule.span(instance), span);
-}
-
-TEST(Portfolio, AdaptiveFactoriesDisableTimelineSharing) {
-  const Instance instance = random_integral_instance(5, 10);
-  const auto scheduler = make_scheduler("batch");
-  const std::vector<PortfolioEntry> entries = {
-      PortfolioEntry{scheduler.get(), false}};
-  PortfolioRunner runner;
-
-  std::vector<Time> shared_spans;
-  ASSERT_TRUE(runner.run_spans(instance, entries, shared_spans));
-
-  // A source factory marks the run adaptive even when the source it
-  // builds happens to be a plain static replay: the runner cannot know,
-  // so it must take the per-run path -- and the spans must still agree.
-  PortfolioOptions adaptive;
-  adaptive.source_factory = [](const Instance& inst) {
-    return std::make_unique<StaticSource>(inst);
-  };
-  std::vector<Time> adaptive_spans;
-  EXPECT_FALSE(runner.run_spans(instance, entries, adaptive_spans, adaptive));
-  EXPECT_EQ(adaptive_spans, shared_spans);
-
-  PortfolioOptions adaptive_oracle;
-  adaptive_oracle.oracle_factory = [](const Instance&) {
-    return std::make_unique<NoDeferralOracle>();
-  };
-  EXPECT_FALSE(
-      runner.run_spans(instance, entries, adaptive_spans, adaptive_oracle));
-  EXPECT_EQ(adaptive_spans, shared_spans);
-
-  // Start capture requires the shared timeline (engine ids are only
-  // meaningful against the prepared instance).
-  std::vector<Time> starts;
-  EXPECT_THROW(
-      runner.run_span(instance, entries[0], &starts, adaptive),
-      AssertionError);
-
-  // The convenience wrapper reports which path ran.
-  const auto wrapped = simulate_portfolio_spans(instance, entries, adaptive);
-  EXPECT_FALSE(wrapped.shared_timeline);
-  EXPECT_EQ(wrapped.spans, shared_spans);
 }
 
 TEST(Portfolio, RunnerReuseAcrossInstanceSizesIsDeterministic) {
@@ -268,27 +242,6 @@ TEST(Portfolio, ParallelGridMatchesSerialAcrossThreadCounts) {
   const auto serial = compute(0);
   EXPECT_EQ(serial, compute(1));
   EXPECT_EQ(serial, compute(4));
-}
-
-TEST(EngineWorkspacePool, LeasesRecycleOnSameThread) {
-  auto& pool = engine_workspace_pool();
-  const std::size_t before = pool.cached_count();
-  EngineWorkspace* first = nullptr;
-  {
-    const auto lease = pool.acquire();
-    first = lease.get();
-    ASSERT_NE(first, nullptr);
-  }
-  EXPECT_EQ(pool.cached_count(), before + 1);
-  {
-    // LIFO: the workspace just returned is the one handed out next, so
-    // its warmed capacity is reused by the next run on this thread.
-    const auto lease = pool.acquire();
-    EXPECT_EQ(lease.get(), first);
-    const auto second = pool.acquire();
-    EXPECT_NE(second.get(), first);
-  }
-  EXPECT_EQ(pool.cached_count(), before + 2);
 }
 
 // --- Allocation regression assertions (FJS_COUNT_ALLOCS builds) -------
@@ -366,11 +319,10 @@ TEST(PortfolioAllocs, SimulateSpanNeverAllocatesATrace) {
   if (!alloc_counting_enabled()) {
     GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
   }
-  // simulate_span (record_trace is hardwired off) performs a fixed number
-  // of allocations per call -- the StaticSource staging -- independent of
-  // how many events the run processes. A Trace sneaking back into the
-  // fast path would make the count grow with the event count and fail the
-  // size-invariance assertion below.
+  // simulate_span runs on the calling thread's PortfolioRunner: once it is
+  // warm at the larger size, a call allocates nothing at all. A Trace
+  // sneaking back into the span path, or any per-run staging, would show
+  // up here as a nonzero count.
   const Instance small = random_integral_instance(21, 30, 40, 5, 4);
   const Instance large = random_integral_instance(22, 600, 900, 5, 4);
   const auto scheduler = make_scheduler("batch+");
@@ -379,23 +331,10 @@ TEST(PortfolioAllocs, SimulateSpanNeverAllocatesATrace) {
     (void)simulate_span(inst, *scheduler, /*clairvoyant=*/true);
     return alloc_counts().allocations - before.allocations;
   };
-  (void)measure(large);  // warm the pooled workspace at the larger size
+  (void)measure(large);  // warm the thread's runner at the larger size
   (void)measure(small);
-  const std::size_t warm_small = measure(small);
-  const std::size_t warm_large = measure(large);
-  EXPECT_EQ(warm_small, warm_large)
-      << "simulate_span allocations must not scale with the event count";
-  // The engine's own share is zero: the release path's job columns,
-  // staged arrivals and heap all come from the warm pooled workspace, so
-  // every allocation left is the StaticSource's staging.
-  const auto source_only = [&](const Instance& inst) {
-    const AllocCounts before = alloc_counts();
-    StaticSource source(inst);
-    (void)source.begin();
-    return alloc_counts().allocations - before.allocations;
-  };
-  EXPECT_EQ(warm_large, source_only(large))
-      << "the engine allocated on simulate_span's release path";
+  EXPECT_EQ(measure(small), 0u) << "warm simulate_span allocated";
+  EXPECT_EQ(measure(large), 0u) << "warm simulate_span allocated";
 
   // And the full-result path: recording a trace must be the ONLY extra
   // allocation cost of record_trace=true.

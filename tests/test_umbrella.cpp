@@ -34,10 +34,10 @@ TEST(Umbrella, EndToEndThroughPublicApi) {
   EXPECT_FALSE(chart.empty());
 }
 
-TEST(Umbrella, ExposesPortfolioTelemetryAndPooling) {
+TEST(Umbrella, ExposesPortfolioAndTelemetry) {
   // The post-seed subsystems must be reachable through the umbrella
-  // alone: columnar substrate, batched portfolio kernel, object pool,
-  // telemetry snapshots.
+  // alone: columnar substrate, batched portfolio kernel, telemetry
+  // snapshots.
   JobTable table;
   table.push_back(Time::from_units(0), Time::from_units(1),
                   Time::from_units(2));
@@ -50,13 +50,6 @@ TEST(Umbrella, ExposesPortfolioTelemetryAndPooling) {
   PortfolioRunner runner;
   const Time batched = runner.run_span(inst, entry);
   EXPECT_EQ(batched, runner.run_span(inst.view(), entry));
-
-  ObjectPool<std::vector<int>> pool;
-  {
-    auto lease = pool.acquire();
-    lease->assign(8, 7);
-  }
-  EXPECT_EQ(pool.acquire()->size(), 8u);  // warm reuse through the umbrella
 
   const telemetry::Snapshot begin = telemetry::capture();
   const telemetry::Snapshot end = telemetry::capture();
