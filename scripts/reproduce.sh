@@ -84,9 +84,10 @@ build-asan/src/experiments/fjs_experiments --smoke --skip e9 \
 
 # ThreadSanitizer smoke: the task queue and TaskGroup nesting, every test
 # that drives parallel_for / parallel_map on a pool (portfolio grid,
-# miner, analysis sweeps, fuzz harness) and the experiment pipeline under
-# TSan. A race in the pool's group bookkeeping or in a parallel caller's
-# per-thread state shows up here, not in the (deterministic) unit tests.
+# concurrent miner runs, analysis sweeps, fuzz harness) and the experiment
+# pipeline under TSan. A race in the pool's group bookkeeping or in a
+# parallel caller's per-thread or per-mine state shows up here, not in
+# the (deterministic) unit tests.
 # E9 is skipped for the same reason as under ASan: timing is meaningless.
 cmake --preset tsan
 cmake --build build-tsan --target \
@@ -100,11 +101,12 @@ rm -rf results/tsan-smoke
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/experiments/fjs_experiments --smoke --skip e9 \
   --out results --run-id tsan-smoke --quiet 2>&1 | tee -a test_output.txt
-# The fuzz battery under TSan as well: every oracle replays through
-# PortfolioRunner, whose engine workspaces come from the per-thread
-# workspace pool, so a lease or recycling bug under threads shows up here
-# rather than in the deterministic unit tests. (The plain and ASan+UBSan
-# fuzz smokes above already run the same battery.)
+# The fuzz battery under TSan as well: the harness fans seeds out with
+# parallel_map, and every oracle replays through a PortfolioRunner (the
+# thread-local one behind simulate()/simulate_span() included), so state
+# shared between worker threads shows up here rather than in the
+# deterministic unit tests. (The plain and ASan+UBSan fuzz smokes above
+# already run the same battery.)
 cmake --build build-tsan --target fjs_fuzz
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/fuzz/fjs_fuzz --smoke 2>&1 | tee -a test_output.txt

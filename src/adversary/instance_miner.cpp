@@ -1,10 +1,8 @@
 #include "adversary/instance_miner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -14,17 +12,15 @@
 #include "schedulers/registry.h"
 #include "sim/portfolio.h"
 #include "support/assert.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace fjs {
 namespace {
 
 // Miner telemetry: totals across every mine on any thread. Evaluation and
 // memo counts are a function of the seed/options (deterministic); which
-// thread performed them is not, but sums don't care.
+// thread ran a mine is not, but sums don't care.
 telemetry::Counter g_tm_evaluations{"miner.evaluations",
                                     telemetry::Stability::kDeterministic};
 telemetry::Counter g_tm_memo_hits{"miner.memo_hits",
@@ -33,10 +29,6 @@ telemetry::Counter g_tm_budget_skips{"miner.budget_skips",
                                      telemetry::Stability::kDeterministic};
 telemetry::Counter g_tm_screen_rejects{"miner.screen_rejects",
                                        telemetry::Stability::kDeterministic};
-
-}  // namespace
-
-namespace {
 
 void random_table(Rng& rng, const MinerOptions& options, JobTable& table) {
   table.clear();
@@ -51,15 +43,11 @@ void random_table(Rng& rng, const MinerOptions& options, JobTable& table) {
   }
 }
 
-/// One candidate: either a fresh seed table or a single-row patch against
-/// the round's shared parent table. Patches never copy the parent — they
-/// are applied to a per-thread scratch table at evaluation time and undone
-/// right after, so a hill-climbing round performs no per-candidate copy
-/// and re-validates nothing (mutations keep every row valid by clamping).
-struct Candidate {
-  bool is_seed = false;
-  JobTable table;  ///< seeds only; empty for patches
-  // Patch payload: the NEW row values for `victim`.
+/// A hill-climbing move: the NEW row values for `victim`. Patches never
+/// copy the incumbent — they are applied to it in place at evaluation time
+/// and undone right after, so a round performs no per-candidate copy and
+/// re-validates nothing (mutations keep every row valid by clamping).
+struct Patch {
   JobId victim = kInvalidJob;
   Time arrival;
   Time deadline;
@@ -68,8 +56,7 @@ struct Candidate {
 
 /// One unit-grained tweak of a random job's arrival, laxity or length,
 /// recorded as a patch (the parent table is not touched).
-Candidate mutate(const JobTable& parent, Rng& rng,
-                 const MinerOptions& options) {
+Patch mutate(const JobTable& parent, Rng& rng, const MinerOptions& options) {
   const auto victim = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(parent.size()) - 1));
   Job j = parent.job(static_cast<JobId>(victim));
@@ -116,12 +103,7 @@ Candidate mutate(const JobTable& parent, Rng& rng,
       break;
     }
   }
-  Candidate c;
-  c.victim = static_cast<JobId>(victim);
-  c.arrival = j.arrival;
-  c.deadline = j.deadline;
-  c.length = j.length;
-  return c;
+  return Patch{static_cast<JobId>(victim), j.arrival, j.deadline, j.length};
 }
 
 /// Memo key: the exact job list in tick units. Mutations preserve job
@@ -140,240 +122,93 @@ struct MemoKeyHash {
   }
 };
 
-/// Builds the candidate's job list without materializing it: seed tables
-/// are read directly, patches read the parent with the victim row swapped.
-void fill_memo_key(const JobTable& parent, const Candidate& c, MemoKey& key) {
-  key.clear();
-  const InstanceView v = c.is_seed ? c.table.view() : parent.view();
-  key.reserve(v.size() * 3);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const auto id = static_cast<JobId>(i);
-    if (!c.is_seed && id == c.victim) {
-      key.push_back(c.arrival.ticks());
-      key.push_back(c.deadline.ticks());
-      key.push_back(c.length.ticks());
-    } else {
-      key.push_back(v.arrival(id).ticks());
-      key.push_back(v.deadline(id).ticks());
-      key.push_back(v.length(id).ticks());
-    }
-  }
-}
-
 using ViewObjective = std::function<double(InstanceView, double threshold)>;
 
-/// Monotone batch stamp: each evaluate() call gets a globally unique epoch
-/// so a worker's thread-local scratch table knows when to resync with the
-/// batch's parent (unique across concurrent mines sharing a pool).
-std::atomic<std::uint64_t> g_scratch_epoch{0};
-
-/// Evaluates candidate batches: dedupes against the memo, runs the misses
-/// through parallel_map when a pool is attached, and hands values back in
-/// proposal order. Deterministic for any thread count because candidate
-/// order is fixed before evaluation, the threshold is frozen per batch,
-/// and the objective is deterministic.
-///
-/// Patch candidates are served from a per-thread scratch JobTable: copied
-/// from the parent once per (thread, batch), then mutate → evaluate over
-/// the scratch view → restore, so the steady state allocates nothing and
-/// no Instance is ever materialized for a rejected candidate.
-class BatchEvaluator {
+/// Scores candidates one at a time: memo lookup, then the LB pre-screen,
+/// then the objective. Serial and owned by one mine, so a mine's result is
+/// a pure function of its options however many mines run concurrently.
+class Evaluator {
  public:
-  BatchEvaluator(const ViewObjective& objective,
-                 const MinerOptions& options)
-      : objective_(objective), options_(options) {}
+  Evaluator(const ViewObjective& objective, bool screen)
+      : objective_(objective), screen_(screen) {}
 
-  std::vector<double> evaluate(const JobTable& parent,
-                               const std::vector<Candidate>& batch,
-                               double threshold) {
-    epoch_ = g_scratch_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::vector<std::size_t> misses;  // first occurrence of each unknown key
-    misses.reserve(batch.size());
-    std::vector<double*> slots;  // memo cell per candidate; stable under
-                                 // rehash (unordered_map nodes don't move)
-    if (options_.use_objective_memo) {
-      slots.resize(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        // One hash walk per candidate: try_emplace reserves the cell for a
-        // miss (so an intra-batch duplicate is a hit) and finds it for a
-        // hit; both paths hand back the cell the fill/read below uses.
-        fill_memo_key(parent, batch[i], key_scratch_);
-        const auto [it, inserted] = memo_.try_emplace(key_scratch_, kPending);
-        slots[i] = &it->second;
-        if (inserted) {
-          misses.push_back(i);
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        misses.push_back(i);
-      }
+  /// Value of the candidate `view` under the batch's frozen `threshold`.
+  double value(InstanceView view, double threshold) {
+    // One hash walk per candidate: try_emplace reserves the cell for a
+    // miss (so a duplicate later in the batch is a hit) and finds it for
+    // a hit.
+    key_.clear();
+    for (JobId id = 0; id < view.size(); ++id) {
+      key_.push_back(view.arrival(id).ticks());
+      key_.push_back(view.deadline(id).ticks());
+      key_.push_back(view.length(id).ticks());
     }
-    std::vector<double> values(batch.size(), kPending);
-    // LB pre-screen: every memo-missed candidate whose span-free ratio
-    // upper bound cannot beat the frozen threshold is settled here, before
-    // a single simulation is dispatched. Serial on the calling
-    // thread — the survivor list (and every settled value) is the same
-    // for any pool size.
-    const std::vector<std::size_t>& eval_list =
-        screen(parent, batch, misses, threshold, values, slots);
-    std::vector<double> fresh;
-    if (options_.pool != nullptr && options_.pool->thread_count() > 1 &&
-        eval_list.size() > 1) {
-      fresh = parallel_map(
-          *options_.pool, eval_list.size(),
-          [&, threshold](std::size_t m) {
-            return eval_one(parent, batch[eval_list[m]], threshold);
-          });
-    } else {
-      fresh.reserve(eval_list.size());
-      for (const std::size_t m : eval_list) {
-        fresh.push_back(eval_one(parent, batch[m], threshold));
-      }
+    const auto [it, inserted] = memo_.try_emplace(key_, 0.0);
+    if (!inserted) {
+      ++memo_hits_;
+      g_tm_memo_hits.increment();
+      return it->second;
     }
-    if (!options_.use_objective_memo) {
-      for (std::size_t m = 0; m < eval_list.size(); ++m) {
-        values[eval_list[m]] = fresh[m];
-      }
-      return values;
+    if (screen_ && threshold > 0.0 && screened(view, threshold, it->second)) {
+      ++screen_rejects_;
+      g_tm_screen_rejects.increment();
+      return it->second;
     }
-    for (std::size_t m = 0; m < eval_list.size(); ++m) {
-      *slots[eval_list[m]] = fresh[m];
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      values[i] = *slots[i];
-    }
-    memo_hits_ += batch.size() - misses.size();
-    g_tm_memo_hits.add(batch.size() - misses.size());
-    g_tm_evaluations.add(eval_list.size());
-    return values;
+    g_tm_evaluations.increment();
+    it->second = objective_(view, threshold);
+    return it->second;
   }
 
   std::size_t memo_hits() const { return memo_hits_; }
   std::size_t screen_rejects() const { return screen_rejects_; }
 
  private:
-  static constexpr double kPending = 0.0;  // placeholder until filled above
-
-  /// The pre-screen (MinerOptions::screen_lb_precut). One pass over each
-  /// memo miss's rows (the parent's, with the victim row patched) reduces
-  /// min arrival, max saturated d + p, max length and saturating total
-  /// length. Any engine schedule runs inside [min a, max d+p), every busy
-  /// instant runs at least one job (so span <= sum p too), and
-  /// OPT >= max p; hence
+  /// The pre-screen (MinerOptions::screen_lb_precut). One pass over the
+  /// rows reduces min arrival, max saturated d + p, max length and
+  /// saturating total length. Any engine schedule runs inside
+  /// [min a, max d+p), every busy instant runs at least one job (so
+  /// span <= sum p too), and OPT >= max p; hence
   /// ratio_ub = min(max_dp - min_a, sum_p) / max_p bounds span/OPT from
   /// above. ratio_ub <= threshold settles the candidate at ratio_ub
   /// (always unselectable under the non-decreasing threshold — see the
-  /// header contract); the rest survive into the returned evaluation list.
-  /// Returns `misses` itself when screening is off or inapplicable.
-  const std::vector<std::size_t>& screen(const JobTable& parent,
-                                         const std::vector<Candidate>& batch,
-                                         const std::vector<std::size_t>& misses,
-                                         double threshold,
-                                         std::vector<double>& values,
-                                         const std::vector<double*>& slots) {
-    if (!options_.screen_lb_precut || threshold <= 0.0 || misses.empty()) {
-      return misses;
+  /// header contract) and returns true.
+  static bool screened(InstanceView view, double threshold, double& value) {
+    Time min_a = Time::max();
+    Time max_dp = Time::min();
+    Time max_p = Time::min();
+    Time sum_p = Time::zero();
+    for (JobId id = 0; id < view.size(); ++id) {
+      const Time p = view.length(id);
+      min_a = std::min(min_a, view.arrival(id));
+      max_dp = std::max(max_dp, view.deadline(id).saturating_add(p));
+      max_p = std::max(max_p, p);
+      sum_p = sum_p.saturating_add(p);
     }
-    const auto row_count = [&](std::size_t i) {
-      return batch[i].is_seed ? batch[i].table.size() : parent.size();
-    };
-    const std::size_t rows = row_count(misses[0]);
-    if (rows == 0) {
-      return misses;
+    std::int64_t horizon = 0;
+    const bool bounded =
+        max_p > Time::zero() && sum_p > Time::zero() &&
+        !__builtin_sub_overflow(max_dp.ticks(), min_a.ticks(), &horizon) &&
+        horizon > 0;
+    if (!bounded) {
+      return false;
     }
-    for (const std::size_t m : misses) {
-      if (row_count(m) != rows) {
-        return misses;  // batches mixing instance sizes are not screened
-      }
+    const double ratio_ub = time_ratio(std::min(Time(horizon), sum_p), max_p);
+    if (ratio_ub > threshold) {
+      return false;
     }
-    survivors_.clear();
-    for (const std::size_t i : misses) {
-      const Candidate& c = batch[i];
-      const InstanceView v = c.is_seed ? c.table.view() : parent.view();
-      Time min_a = Time::max();
-      Time max_dp = Time::min();
-      Time max_p = Time::min();
-      Time sum_p = Time::zero();
-      for (JobId id = 0; id < rows; ++id) {
-        const bool patched = !c.is_seed && id == c.victim;
-        const Time a = patched ? c.arrival : v.arrival(id);
-        const Time d = patched ? c.deadline : v.deadline(id);
-        const Time p = patched ? c.length : v.length(id);
-        min_a = std::min(min_a, a);
-        max_dp = std::max(max_dp, d.saturating_add(p));
-        max_p = std::max(max_p, p);
-        sum_p = sum_p.saturating_add(p);
-      }
-      std::int64_t horizon = 0;
-      const bool bounded =
-          max_p > Time::zero() && sum_p > Time::zero() &&
-          !__builtin_sub_overflow(max_dp.ticks(), min_a.ticks(), &horizon) &&
-          horizon > 0;
-      if (bounded) {
-        const double ratio_ub =
-            time_ratio(std::min(Time(horizon), sum_p), max_p);
-        if (ratio_ub <= threshold) {
-          values[i] = ratio_ub;
-          if (options_.use_objective_memo) {
-            *slots[i] = ratio_ub;
-          }
-          ++screen_rejects_;
-          g_tm_screen_rejects.increment();
-          continue;
-        }
-      }
-      survivors_.push_back(i);
-    }
-    return survivors_;
-  }
-
-  double eval_one(const JobTable& parent, const Candidate& c,
-                  double threshold) const {
-    if (c.is_seed) {
-      return objective_(c.table.view(), threshold);
-    }
-    // Scratch resyncs on the first patch of each batch this thread sees
-    // (column assignment reuses capacity: no allocation at steady state).
-    struct Scratch {
-      std::uint64_t epoch = 0;
-      JobTable table;
-    };
-    thread_local Scratch scratch;
-    if (scratch.epoch != epoch_) {
-      scratch.table = parent;
-      scratch.epoch = epoch_;
-    }
-    const JobTable::Undo undo = scratch.table.undo_record(c.victim);
-    scratch.table.set(c.victim, c.arrival, c.deadline, c.length);
-    const double value = objective_(scratch.table.view(), threshold);
-    scratch.table.restore(undo);
-    return value;
+    value = ratio_ub;
+    return true;
   }
 
   const ViewObjective& objective_;
-  const MinerOptions& options_;
-  std::uint64_t epoch_ = 0;
+  const bool screen_;
   std::unordered_map<MemoKey, double, MemoKeyHash> memo_;
-  MemoKey key_scratch_;  // reused per candidate; copied only on insert
+  MemoKey key_;  // reused per candidate; copied only on insert
   std::size_t memo_hits_ = 0;
-  std::vector<std::size_t> survivors_;  // screen() output, capacity reused
   std::size_t screen_rejects_ = 0;
 };
 
 }  // namespace
-
-MinerResult mine_instance(
-    const std::function<double(const Instance&)>& objective,
-    MinerOptions options) {
-  // Bridge: materialize an owning Instance per fresh evaluation.
-  // Objectives on the hot path take InstanceView instead.
-  return mine_instance(
-      ViewObjective([&objective](InstanceView view, double) {
-        return objective(Instance(JobTable(view)));
-      }),
-      std::move(options));
-}
 
 MinerResult mine_instance(
     const std::function<double(InstanceView, double)>& objective,
@@ -382,96 +217,69 @@ MinerResult mine_instance(
   FJS_REQUIRE(options.jobs >= 1, "miner: jobs must be >= 1");
   Rng rng(options.seed);
   MinerResult result;
-  BatchEvaluator evaluator(objective, options);
+  Evaluator evaluator(objective, options.screen_lb_precut);
 
-  // Candidates are generated serially — one RNG stream, same draw order as
-  // the original interleaved miner — then evaluated as a batch. Picking the
-  // first strict improvement in proposal order reproduces the original
-  // running-max selection exactly, so trajectories are bit-identical to the
-  // serial miner's for any pool size.
-  //
-  // The incumbent lives as a bare JobTable: accepted patches are applied
-  // in place (one row store) and an owning Instance is materialized only
-  // once, for the final mined result.
+  // The incumbent lives as a bare JobTable: a patch candidate is applied
+  // to it in place, evaluated through its view and undone; an accepted
+  // patch is one row store. An owning Instance is materialized only once,
+  // for the final mined result.
   JobTable parent;
-  std::vector<Candidate> batch;
-  batch.reserve(std::max(options.population, options.mutations_per_round));
-
-  auto adopt = [&parent](Candidate& c) {
-    if (c.is_seed) {
-      parent = std::move(c.table);
-    } else {
-      parent.set(c.victim, c.arrival, c.deadline, c.length);
-    }
-  };
 
   // Seeding round, in fixed sub-batches with a progressively rising
-  // threshold: after each sub-batch the running max becomes the next
-  // sub-batch's threshold, so most seeds settle on a cheap bound instead of
-  // a full certification. Trajectory-preserving: every settled value is at
-  // most its threshold, i.e. at most the max of some earlier prefix, so it
-  // can neither become the first occurrence of the global max nor displace
-  // it under the strict-> running-max selection below — the selected seed
-  // and trajectory[0] are identical to the single-batch evaluation. The
-  // sub-batch size is a constant (not derived from the pool) so the chunk
-  // boundaries, thresholds and therefore every value are the same for any
-  // thread count.
+  // threshold: each sub-batch's threshold is the running max before it,
+  // so most seeds settle on a cheap bound instead of a full certification.
+  // Trajectory-preserving: every settled value is at most its threshold,
+  // i.e. at most the max of some earlier prefix, so it can neither become
+  // the first occurrence of the global max nor displace it under the
+  // strict-> running-max selection below — the selected seed and
+  // trajectory[0] are those of an exact-only evaluation.
   constexpr std::size_t kSeedChunk = 8;
   double best_ratio = 0.0;
   bool have_best = false;
-  std::vector<double> values;
+  JobTable seed;
   for (std::size_t seeded = 0; seeded < options.population;
        seeded += kSeedChunk) {
-    batch.clear();
+    const double threshold = have_best ? best_ratio : 0.0;
     const std::size_t count =
         std::min(kSeedChunk, options.population - seeded);
     for (std::size_t i = 0; i < count; ++i) {
-      Candidate c;
-      c.is_seed = true;
-      random_table(rng, options, c.table);
-      batch.push_back(std::move(c));
-    }
-    values = evaluator.evaluate(parent, batch, have_best ? best_ratio : 0.0);
-    result.evaluations += batch.size();
-    // Deferred adoption of the running strict max — the surviving index is
-    // the first occurrence of the sub-batch max, exactly what adopting
-    // each improvement in turn would have left behind.
-    std::size_t pick = count;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!have_best || values[i] > best_ratio) {
-        best_ratio = values[i];
+      random_table(rng, options, seed);
+      const double value = evaluator.value(seed.view(), threshold);
+      if (!have_best || value > best_ratio) {
+        best_ratio = value;
         have_best = true;
-        pick = i;
+        std::swap(parent, seed);
       }
     }
-    if (pick != count) {
-      adopt(batch[pick]);
-    }
+    result.evaluations += count;
   }
   result.trajectory.push_back(best_ratio);
 
-  // Hill climbing.
+  // Hill climbing. Every mutation of a round is drawn against the same
+  // incumbent (each evaluation restores it), and the first strict
+  // improvement over the round's best is adopted after the round.
   for (std::size_t round = 0; round < options.rounds; ++round) {
-    batch.clear();
-    for (std::size_t m = 0; m < options.mutations_per_round; ++m) {
-      batch.push_back(mutate(parent, rng, options));
-    }
-    // Freeze the threshold at the incumbent before the batch: a candidate
+    // Freeze the threshold at the incumbent before the round: a candidate
     // that cannot beat it may be settled cheaply (see header contract),
     // and the threshold only ever grows, which keeps memoized settled
     // values unselectable in every later round.
-    values = evaluator.evaluate(parent, batch, best_ratio);
-    result.evaluations += batch.size();
-    std::size_t pick = batch.size();
+    const double threshold = best_ratio;
     double round_ratio = best_ratio;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (values[i] > round_ratio) {
-        round_ratio = values[i];
-        pick = i;
+    Patch pick;
+    for (std::size_t m = 0; m < options.mutations_per_round; ++m) {
+      const Patch patch = mutate(parent, rng, options);
+      const JobTable::Undo undo = parent.undo_record(patch.victim);
+      parent.set(patch.victim, patch.arrival, patch.deadline, patch.length);
+      const double value = evaluator.value(parent.view(), threshold);
+      parent.restore(undo);
+      if (value > round_ratio) {
+        round_ratio = value;
+        pick = patch;
       }
     }
-    if (pick != batch.size()) {
-      adopt(batch[pick]);
+    result.evaluations += options.mutations_per_round;
+    if (pick.victim != kInvalidJob) {
+      parent.set(pick.victim, pick.arrival, pick.deadline, pick.length);
       best_ratio = round_ratio;
     }
     result.trajectory.push_back(best_ratio);
@@ -487,29 +295,22 @@ MinerResult mine_instance(
 
 MinerResult mine_worst_case(const std::string& scheduler_key,
                             MinerOptions options) {
-  const auto probe = make_scheduler(scheduler_key);
-  const bool clairvoyant = probe->requires_clairvoyance();
+  // Replay state owned by this mine: the portfolio runner amortizes engine
+  // setup across candidates, and the engine reset()s the scheduler before
+  // each replay.
+  const auto scheduler = make_scheduler(scheduler_key);
+  const PortfolioEntry entry{scheduler.get(),
+                             scheduler->requires_clairvoyance()};
+  PortfolioRunner runner;
+  std::vector<Time> starts;
+  std::size_t budget_skips = 0;
   // This objective is span/OPT: the LB pre-screen's span-free
   // upper bound is sound for it (and for no arbitrary mine_instance
   // objective), so opt in here.
   options.screen_lb_precut = true;
-  auto budget_skips = std::make_shared<std::atomic<std::size_t>>(0);
   MinerResult result = mine_instance(
-      ViewObjective([&scheduler_key, clairvoyant, budget_skips](
-                        InstanceView view, double threshold) {
-        // Per-thread replay state: the portfolio runner amortizes engine
-        // setup across candidates, and the scheduler object is rebuilt
-        // only when the mined key changes on this thread.
-        thread_local PortfolioRunner runner;
-        thread_local std::unique_ptr<OnlineScheduler> scheduler;
-        thread_local std::string scheduler_key_cache;
-        thread_local std::vector<Time> starts;
-        if (!scheduler || scheduler_key_cache != scheduler_key) {
-          scheduler = make_scheduler(scheduler_key);
-          scheduler_key_cache = scheduler_key;
-        }
-        const Time span = runner.run_span(
-            view, PortfolioEntry{scheduler.get(), clairvoyant}, &starts);
+      [&](InstanceView view, double threshold) {
+        const Time span = runner.run_span(view, entry, &starts);
         // Pre-certification cut: span/lower_bound upper-bounds the true
         // ratio. When even that cannot beat the incumbent, settle the
         // candidate without certifying OPT — the dominant cost here by far
@@ -565,14 +366,14 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
         if (!opt.optimal()) {
           // Uncertifiable candidate: discard it instead of aborting the
           // whole mine — a ratio of 0 never survives selection.
-          budget_skips->fetch_add(1, std::memory_order_relaxed);
+          ++budget_skips;
           g_tm_budget_skips.increment();
           return 0.0;
         }
         return time_ratio(span, opt.span);
-      }),
+      },
       options);
-  result.budget_skips = budget_skips->load(std::memory_order_relaxed);
+  result.budget_skips = budget_skips;
   return result;
 }
 

@@ -17,8 +17,6 @@
 
 namespace fjs {
 
-class ThreadPool;
-
 struct MinerOptions {
   /// Random instances evaluated in the seeding round.
   std::size_t population = 64;
@@ -32,19 +30,8 @@ struct MinerOptions {
   std::int64_t max_laxity = 5;
   std::int64_t max_length = 5;
   std::uint64_t seed = 0xBADF00DULL;
-  /// Optional pool: each seeding/mutation batch is evaluated through
-  /// parallel_map. The objective must then be thread-safe. Candidate
-  /// generation stays serial (one RNG stream), and values are reduced in
-  /// proposal order, so the mined result and the whole `trajectory` are
-  /// identical for ANY thread count, including none.
-  ThreadPool* pool = nullptr;
-  /// Memoize objective values keyed on the exact job list. Hill climbing
-  /// re-proposes near-duplicate candidates constantly; with the memo a
-  /// revisited instance is never re-solved. The objective is required to be
-  /// deterministic, so memoization never changes any result.
-  bool use_objective_memo = true;
-  /// Lower-bound pre-screen: before any candidate is dispatched,
-  /// settle every candidate whose span-free ratio upper bound
+  /// Lower-bound pre-screen: before the objective is called, settle a
+  /// candidate whose span-free ratio upper bound
   /// min(latest_completion - earliest_arrival, total_work) / max_length
   /// cannot exceed the frozen threshold — without simulating or certifying
   /// it. Sound ONLY for objectives bounded by span/OPT (any engine
@@ -53,9 +40,7 @@ struct MinerOptions {
   /// is opt-in: mine_worst_case enables it; generic mine_instance
   /// objectives must not. Value-safe by the thresholded-objective
   /// contract below — settled values are <= the threshold, hence never
-  /// selectable, and trajectories/worst instances are unchanged for any
-  /// pool size and memo setting. Screening runs serially on the calling
-  /// thread, so it is deterministic for any thread count.
+  /// selectable, and trajectories/worst instances are unchanged.
   bool screen_lb_precut = false;
 };
 
@@ -87,21 +72,21 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
                             MinerOptions options = {});
 
 /// General form: hill-climbs ANY objective over small integral instances
-/// (larger = worse for the property under study). The objective must be
-/// deterministic. Used e.g. to search for instances separating two
-/// schedulers (span(A)/span(B), bench E16-style studies).
-MinerResult mine_instance(
-    const std::function<double(const Instance&)>& objective,
-    MinerOptions options = {});
-
-/// Columnar core the Instance overload funnels into. The objective reads
-/// the candidate through a non-owning InstanceView over the miner's
-/// mutation scratch table — no Instance is materialized for rejected
-/// candidates (the miner applies each single-row patch in place with an
-/// undo record and keeps the incumbent as a bare JobTable; the one owning
-/// Instance is built for the final result). The Instance overload above
-/// bridges by materializing per fresh evaluation; hot objectives
-/// (mine_worst_case's certification loop) use this form directly.
+/// (larger = worse for the property under study), e.g. span(A)/span(B) to
+/// search for instances separating two schedulers (bench E16). The
+/// objective must be deterministic.
+///
+/// A mine is one serial loop on the calling thread; callers that want
+/// parallelism run independent mines concurrently (E14 and E16 fan theirs
+/// out with parallel_for). The objective is only ever called from that
+/// thread, so it may keep per-mine state (a PortfolioRunner, scheduler
+/// objects) without locking. Each candidate's value is memoized on its
+/// exact job list, so a revisited instance is never re-scored.
+///
+/// The objective reads the candidate through a non-owning InstanceView:
+/// a seed's own table, or the incumbent JobTable with one row patched in
+/// place (undone after the call). No Instance is materialized for a
+/// rejected candidate; the one owning Instance is built for the result.
 ///
 /// The miner also passes the running incumbent best value at
 /// batch-generation time (0.0 only before any candidate has been
@@ -114,7 +99,7 @@ MinerResult mine_instance(
 /// threshold is non-decreasing across sub-batches and rounds, so memoized
 /// settled values stay unselectable forever and the mined trajectory,
 /// worst instance and evaluation counts are identical to the exact-only
-/// objective for any pool size and memo setting.
+/// objective's.
 MinerResult mine_instance(
     const std::function<double(InstanceView view, double threshold)>&
         objective,

@@ -46,7 +46,9 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
   // global pool's threads.
   const auto for_each_case = [&](const auto& fn) {
     if (options.serial) {
-      serial_for(cases.size(), fn);
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        fn(i);
+      }
     } else {
       parallel_for(options.pool != nullptr ? *options.pool : global_pool(),
                    cases.size(), fn);

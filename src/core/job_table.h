@@ -3,8 +3,8 @@
 // JobTable holds the three job columns (arrival, deadline, length) as
 // parallel vectors indexed by JobId. InstanceView is a std::span-based
 // window onto those columns: every heavy consumer (engine lowering, the
-// offline bounds, the exact-solver pre-pass, the miner's batch
-// evaluator) reads jobs through a view, so a mutation scratch buffer
+// offline bounds, the exact-solver pre-pass, the miner's candidate
+// evaluation) reads jobs through a view, so a table patched in place
 // can be evaluated without materializing an owning Instance.
 //
 // Lifetime rule: a view never outlives the columns it was taken from,
@@ -258,8 +258,6 @@ class JobTable {
   }
 
  private:
-  // Copy-assign reuses capacity, so the miner's per-batch
-  // `scratch = parent` resync allocates nothing at steady state.
   std::vector<Time> arrival_;
   std::vector<Time> deadline_;
   std::vector<Time> length_;

@@ -138,9 +138,8 @@ void exact_solver_reference(benchmark::State& state) {
   }
 }
 
-// Miner throughput at fixed search effort (identical candidate sequences
-// in both variants — the objective values, and therefore the
-// hill-climbing path, are the same). items/s counts candidate evaluations.
+// Miner throughput at fixed search effort (one serial mine_worst_case per
+// iteration). items/s counts candidate evaluations.
 MinerOptions miner_bench_options() {
   MinerOptions options;
   options.population = 32;
@@ -155,28 +154,6 @@ void miner(benchmark::State& state) {
   std::size_t evaluations = 0;
   for (auto _ : state) {
     const MinerResult result = mine_worst_case("batch", miner_bench_options());
-    evaluations += result.evaluations;
-    benchmark::DoNotOptimize(result.worst_ratio);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
-  state.SetLabel("candidate evaluations");
-}
-
-// The pre-PR-2 mining stack at the same search effort: no objective memo
-// and grid-DFS certification.
-void miner_legacy(benchmark::State& state) {
-  MinerOptions options = miner_bench_options();
-  options.use_objective_memo = false;
-  const bool clairvoyant = make_scheduler("batch")->requires_clairvoyance();
-  std::size_t evaluations = 0;
-  for (auto _ : state) {
-    const MinerResult result = mine_instance(
-        [clairvoyant](const Instance& instance) {
-          const auto scheduler = make_scheduler("batch");
-          const Time span = simulate_span(instance, *scheduler, clairvoyant);
-          return time_ratio(span, exact_optimal_span_reference(instance));
-        },
-        options);
     evaluations += result.evaluations;
     benchmark::DoNotOptimize(result.worst_ratio);
   }
@@ -469,9 +446,6 @@ void register_benchmarks(bool smoke) {
     // runs are the noisiest rows in the battery: pin 3 repetitions and
     // report only the aggregates (bench_compare.py gates on the median).
     benchmark::RegisterBenchmark("BM_Miner", miner)
-        ->Unit(benchmark::kMillisecond)
-        ->Repetitions(3)->ReportAggregatesOnly(true);
-    benchmark::RegisterBenchmark("BM_MinerLegacy", miner_legacy)
         ->Unit(benchmark::kMillisecond)
         ->Repetitions(3)->ReportAggregatesOnly(true);
     benchmark::RegisterBenchmark("BM_PrepareView", prepare_view)

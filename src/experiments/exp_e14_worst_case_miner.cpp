@@ -16,6 +16,7 @@
 #include "experiments/experiments_all.h"
 #include "schedulers/classify_by_duration.h"
 #include "schedulers/profit.h"
+#include "support/parallel.h"
 #include "support/string_util.h"
 #include "support/thread_pool.h"
 
@@ -59,19 +60,17 @@ class E14Experiment final : public Experiment {
         {"overlap", 0.0, "(heuristic)"},
     };
 
-    // Parallelism lives INSIDE the miner (batched candidate evaluation
-    // over the pool), so the scheduler loop is serial.
+    // One serial mine per scheduler; the mines run concurrently.
     std::vector<MinerResult> results(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) {
+    parallel_for(ctx.worker_pool(), targets.size(), [&](std::size_t i) {
       MinerOptions options;
       options.population = ctx.smoke ? 48 : 512;
       options.rounds = ctx.smoke ? 8 : 160;
       options.mutations_per_round = ctx.smoke ? 16 : 64;
       options.jobs = jobs;
       options.seed = 0xBADF00DULL + i + ctx.seed;
-      options.pool = &ctx.worker_pool();
       results[i] = mine_worst_case(targets[i].key, options);
-    }
+    });
 
     Table table({"scheduler", "mined worst ratio", "proven bound",
                  "evaluations", "memo hits"});

@@ -18,6 +18,7 @@
 #include "offline/exact.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
+#include "sim/portfolio.h"
 #include "support/parallel.h"
 #include "support/string_util.h"
 #include "support/thread_pool.h"
@@ -26,15 +27,23 @@ namespace fjs::experiments {
 
 namespace {
 
-double pair_objective(const Instance& instance, const std::string& a,
-                      const std::string& b) {
-  const auto sa = make_scheduler(a);
-  const auto sb = make_scheduler(b);
-  const Time span_a =
-      simulate_span(instance, *sa, sa->requires_clairvoyance());
-  const Time span_b =
-      simulate_span(instance, *sb, sb->requires_clairvoyance());
-  return time_ratio(span_a, span_b);
+/// Mines span(loser)/span(winner). The mine owns one runner and the pair's
+/// two schedulers, and scores each candidate with one run_spans call.
+MinerResult mine_separation(const std::string& loser,
+                            const std::string& winner,
+                            const MinerOptions& options) {
+  const auto a = make_scheduler(loser);
+  const auto b = make_scheduler(winner);
+  const PortfolioEntry entries[] = {{a.get(), a->requires_clairvoyance()},
+                                    {b.get(), b->requires_clairvoyance()}};
+  PortfolioRunner runner;
+  std::vector<Time> spans;
+  return mine_instance(
+      [&](InstanceView view, double) {
+        runner.run_spans(view, entries, spans);
+        return time_ratio(spans[0], spans[1]);
+      },
+      options);
 }
 
 class E16Experiment final : public Experiment {
@@ -76,11 +85,7 @@ class E16Experiment final : public Experiment {
       options.mutations_per_round = ctx.smoke ? 16 : 32;
       options.jobs = jobs;
       options.seed = 0xE16ULL + i + ctx.seed;
-      results[i] = mine_instance(
-          [&](const Instance& inst) {
-            return pair_objective(inst, pairs[i].loser, pairs[i].winner);
-          },
-          options);
+      results[i] = mine_separation(pairs[i].loser, pairs[i].winner, options);
     });
 
     Table table({"A (loser)", "B (winner)", "max span(A)/span(B)",

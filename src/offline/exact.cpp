@@ -1215,7 +1215,7 @@ ExactResult exact_optimal(const Instance& instance, ExactOptions options) {
 
 ExactResult exact_optimal(InstanceView view, ExactOptions options) {
   // The owner-less entry is the miner's certification loop: span-only
-  // decision runs over a mutation scratch table. Everything that needs an
+  // decision runs over its patched incumbent table. Everything that needs an
   // owning Instance (heuristic seeding, witness schedules) is excluded by
   // construction.
   FJS_REQUIRE(options.span_only,

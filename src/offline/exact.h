@@ -139,8 +139,8 @@ struct ExactResult {
 ExactResult exact_optimal(const Instance& instance, ExactOptions options = {});
 
 /// Owner-less span/decision entry over a non-owning view — the miner's
-/// certification hot path, running directly on its mutation scratch table
-/// with no Instance materialization. Requires `options.span_only` with a
+/// certification hot path, running directly on its patched incumbent
+/// table with no Instance materialization. Requires `options.span_only` with a
 /// positive `seed_span`, and forbids heuristic/schedule seeding (both need
 /// an owning Instance). Same search, same determinism, empty schedule out.
 ExactResult exact_optimal(InstanceView view, ExactOptions options);

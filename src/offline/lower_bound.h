@@ -5,9 +5,9 @@
 // these functions provide the denominator of the upper estimate. Each bound
 // is valid for EVERY schedule, online or offline.
 //
-// Every bound takes an InstanceView — the miner's batch evaluator calls
-// them on mutation scratch tables with no owning Instance in sight. The
-// Instance overloads are thin forwarders.
+// Every bound takes an InstanceView — the miner's certification objective
+// calls them on its patched incumbent table with no owning Instance in
+// sight. The Instance overloads are thin forwarders.
 #pragma once
 
 #include "core/instance.h"

@@ -55,8 +55,8 @@ class PreparedInstance {
   /// columns for `instance`.
   void prepare(const Instance& instance) { prepare(instance.view()); }
 
-  /// Same lowering over a non-owning view (e.g. the miner's mutation
-  /// scratch table) — no Instance is materialized. The view only needs to
+  /// Same lowering over a non-owning view (e.g. the miner's incumbent
+  /// table with one row patched) — no Instance is materialized. The view only needs to
   /// stay alive for this call; the columns copy everything out.
   void prepare(InstanceView view);
 
@@ -95,8 +95,8 @@ class PortfolioRunner {
   /// Single-entry span path. If `starts_out` is non-null it is filled
   /// with the scheduler's chosen start times indexed by the instance's own
   /// job ids — the online schedule without materializing a Schedule. On a
-  /// view this is the miner's hot loop: a scratch JobTable is evaluated
-  /// without materializing an Instance.
+  /// view this is the miner's hot loop: its incumbent JobTable, with one
+  /// row patched in place, is evaluated without materializing an Instance.
   Time run_span(InstanceView view, const PortfolioEntry& entry,
                 std::vector<Time>* starts_out = nullptr);
   Time run_span(const Instance& instance, const PortfolioEntry& entry,

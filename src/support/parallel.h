@@ -48,14 +48,6 @@ void parallel_for(ThreadPool& pool, std::size_t count, F&& fn) {
   group.wait();
 }
 
-/// Serial fallback with the same signature (thread count 1 semantics).
-template <typename F>
-void serial_for(std::size_t count, F&& fn) {
-  for (std::size_t i = 0; i < count; ++i) {
-    fn(i);
-  }
-}
-
 /// Maps fn over [0, count) into a vector, preserving index order.
 template <typename F>
 auto parallel_map(ThreadPool& pool, std::size_t count, F&& fn)

@@ -33,7 +33,7 @@ void ThreadPool::stop() noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
   threads_.clear();  // jthread joins
 }
 
@@ -43,7 +43,7 @@ void ThreadPool::enqueue(TaskGroup* group, std::function<void()> fn) {
     queue_.push_back(Task{group, std::move(fn)});
     ++group->pending_;  // after the push, which may throw
   }
-  work_cv_.notify_one();
+  cv_.notify_one();
 }
 
 void ThreadPool::run(Task task, std::unique_lock<std::mutex>& lock) noexcept {
@@ -65,14 +65,14 @@ void ThreadPool::run(Task task, std::unique_lock<std::mutex>& lock) noexcept {
     group.exception_ = error;
   }
   if (--group.pending_ == 0) {
-    done_cv_.notify_all();
+    cv_.notify_all();
   }
 }
 
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) {
       return;  // stopping, and nothing left to run
     }
@@ -89,10 +89,11 @@ void ThreadPool::TaskGroup::drain() noexcept {
   std::unique_lock<std::mutex> lock(pool_.mutex_);
   while (pending_ != 0) {
     if (queue.empty()) {
-      // Our tasks are all running on other threads, and only this thread
-      // spawns into the group, so none can be queued before they finish.
-      pool_.done_cv_.wait(lock, [this] { return pending_ == 0; });
-      return;
+      // Our tasks are all running on other threads; sleep until they
+      // finish or new work arrives to help with.
+      pool_.cv_.wait(
+          lock, [this, &queue] { return pending_ == 0 || !queue.empty(); });
+      continue;
     }
     // Our own newest task first: running another group's task here could
     // hold this group's waiter behind a long, unrelated case.

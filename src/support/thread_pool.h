@@ -12,12 +12,11 @@
 //    therefore run an outer experiment fan-out and the experiments' inner
 //    loops without deadlock or oversubscription, even with one thread.
 //    Only when nothing is queued does wait() sleep, until its group's
-//    last task finishes;
-//  * two condition variables: workers sleep on one until a task is
-//    queued, waiters on the other until a group finishes, so neither
-//    event wakes the threads that cannot use it (waking every idle
-//    worker at each group's end cost the miner's many small batches
-//    about a third of their time);
+//    last task finishes or new work arrives to help with;
+//  * one condition variable for workers and waiters. A group's end
+//    also wakes the idle workers, which find nothing and sleep again;
+//    with whole mines and experiments as tasks that costs nothing
+//    measurable (docs/PERF.md §3);
 //  * std::jthread workers are joined in the destructor (RAII -- no
 //    detached threads). A group waits for all of its tasks before it is
 //    destroyed, so no task outlives the pool;
@@ -109,8 +108,8 @@ class ThreadPool {
   void stop() noexcept;
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;  // a task was queued, or stopping
-  std::condition_variable done_cv_;  // some group's last task finished
+  // A task was queued, some group's last task finished, or stopping.
+  std::condition_variable cv_;
   std::deque<Task> queue_;
   bool stopping_ = false;
   // Declared last so the workers are joined before the state they use is

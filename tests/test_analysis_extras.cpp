@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <algorithm>
 
@@ -15,6 +16,7 @@
 #include "offline/exact.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
+#include "sim/portfolio.h"
 #include "support/assert.h"
 
 namespace fjs {
@@ -163,12 +165,15 @@ TEST(Miner, GeneralObjectiveSeparatesSchedulers) {
   options.rounds = 12;
   options.mutations_per_round = 16;
   options.jobs = 6;
+  const auto lazy = make_scheduler("lazy");
+  const auto bp = make_scheduler("batch+");
+  const PortfolioEntry entries[] = {{lazy.get(), false}, {bp.get(), false}};
+  PortfolioRunner runner;
+  std::vector<Time> spans;
   const MinerResult result = mine_instance(
-      [](const Instance& inst) {
-        const auto lazy = make_scheduler("lazy");
-        const auto bp = make_scheduler("batch+");
-        return time_ratio(simulate_span(inst, *lazy, false),
-                          simulate_span(inst, *bp, false));
+      [&](InstanceView view, double) {
+        runner.run_spans(view, entries, spans);
+        return time_ratio(spans[0], spans[1]);
       },
       options);
   EXPECT_GT(result.worst_ratio, 1.3);

@@ -232,7 +232,9 @@ TEST(Portfolio, ParallelGridMatchesSerialAcrossThreadCounts) {
                 grid.begin() + static_cast<std::ptrdiff_t>(c * keys.size()));
     };
     if (threads == 0) {
-      serial_for(cases.size(), run_case);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        run_case(c);
+      }
     } else {
       ThreadPool pool(threads);
       parallel_for(pool, cases.size(), run_case);
