@@ -17,13 +17,6 @@ non-zero, so the committed BENCH_e9.json baseline acts as a gate:
 With --manifests OLD NEW it additionally prints per-experiment wall-time
 trends between two fjs_experiments manifest.json files (warnings only).
 
-With --allocs the script additionally compares the `allocs_per_sim`
-counter (emitted by benchmarks built with -DFJS_COUNT_ALLOCS=ON, e.g.
-BM_PortfolioSpan) between the two files. Any growth is reported as a
-warning but is never fatal: allocation counts are deterministic, so the
-column catches a regression re-introducing per-simulation allocations
-without turning baseline refreshes into a chore.
-
 Benchmarks present in only one file are reported as added/removed with a
 warning but are never fatal, so the gate does not block adding or
 retiring benchmarks. Degenerate measurements (zero, negative, NaN or
@@ -91,61 +84,6 @@ def load_benchmarks(path):
         elif "real_time" in bench:
             out[name] = ("real_time", float(bench["real_time"]), False)
     return out
-
-
-def load_counters(path, counter):
-    """Returns {benchmark name: counter value} for benchmarks exposing it."""
-    out = {}
-    medians = set()
-    for name, bench, is_median in _iter_rows(path):
-        if not is_median and name in medians:
-            continue
-        if counter in bench:
-            if is_median:
-                medians.add(name)
-            out[name] = float(bench[counter])
-    return out
-
-
-def compare_allocs(baseline_path, current_path, counter="allocs_per_sim"):
-    """Warns when a benchmark's per-simulation allocation count grew.
-
-    Counter values come from FJS_COUNT_ALLOCS builds and are exact (the
-    hook counts operator new calls), so any growth is a real change — but
-    the gate stays non-fatal: the baseline may predate the counter, and a
-    deliberate feature is allowed to cost an allocation once it is
-    acknowledged by refreshing the baseline.
-
-    Returns the list of benchmark names whose count grew.
-    """
-    base = load_counters(baseline_path, counter)
-    curr = load_counters(current_path, counter)
-    shared = sorted(set(base) & set(curr))
-    if not base and not curr:
-        print(f"note: neither file carries a '{counter}' counter "
-              "(build with -DFJS_COUNT_ALLOCS=ON to emit it)")
-        return []
-    if not shared:
-        print(f"note: no benchmark exposes '{counter}' in both files; "
-              "allocation gate skipped")
-        return []
-    width = max(len(name) for name in shared)
-    print(f"\nallocation counts ({counter}):")
-    print(f"{'benchmark':<{width}}  {'baseline':>10}  {'current':>10}")
-    grew = []
-    for name in shared:
-        flag = ""
-        if curr[name] > base[name]:
-            flag = "  GREW"
-            grew.append(name)
-        print(f"{name:<{width}}  {base[name]:>10.3g}  {curr[name]:>10.3g}"
-              f"{flag}")
-    if grew:
-        print(f"warning: {len(grew)} benchmark(s) allocate more per "
-              f"simulation than the baseline: {', '.join(grew)} "
-              "(non-fatal; refresh the baseline only if the growth is "
-              "intentional)")
-    return grew
 
 
 def comparable(value):
@@ -310,13 +248,6 @@ def main():
         "('-' for stdout)",
     )
     parser.add_argument(
-        "--allocs",
-        action="store_true",
-        help="also compare the allocs_per_sim counter between the two "
-        "files (non-fatal warning on growth; requires FJS_COUNT_ALLOCS "
-        "builds to emit the counter)",
-    )
-    parser.add_argument(
         "--manifests",
         nargs=2,
         metavar=("OLD", "NEW"),
@@ -367,10 +298,6 @@ def main():
         print(f"warning: {len(added)} benchmark(s) added since the "
               f"baseline (not compared): {', '.join(added)}")
 
-    allocs_grew = []
-    if args.allocs:
-        allocs_grew = compare_allocs(args.baseline, args.current)
-
     if args.json:
         summary = {
             "baseline": args.baseline,
@@ -381,7 +308,6 @@ def main():
             "geomean_speedup": geomean,
             "added": added,
             "removed": removed,
-            "allocs_grew": allocs_grew,
             "benchmarks": rows,
         }
         if args.json == "-":

@@ -61,15 +61,17 @@ scripts/run_clang_tidy.sh 2>&1 | tee -a test_output.txt
 # engine's replays (which read job columns borrowed from
 # PreparedInstance) and the span tracker, plus the fuzz harness under
 # ASan+UBSan. Fast mode — only the tests whose memory behavior recent PRs
-# changed, not the full suite.
+# changed, not the full suite. test_portfolio_allocs runs here too: its
+# counting operator new wraps the sanitizer's malloc.
 cmake --preset asan-ubsan
 cmake --build build-asan --target \
   test_core_job_table test_offline_exact test_offline_bounds \
   test_offline_heuristic test_adversary_miner test_differential \
   test_bugfix_regressions test_sim_engine test_sim_portfolio \
-  test_golden_trace test_core_span_tracker test_engine_errors fjs_fuzz
+  test_portfolio_allocs test_golden_trace test_core_span_tracker \
+  test_engine_errors fjs_fuzz
 ctest --test-dir build-asan --output-on-failure \
-  -R 'test_core_job_table|test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_bugfix_regressions|test_sim_engine|test_sim_portfolio|test_golden_trace|test_core_span_tracker|test_engine_errors' \
+  -R 'test_core_job_table|test_offline_exact|test_offline_bounds|test_offline_heuristic|test_adversary_miner|test_differential|test_bugfix_regressions|test_sim_engine|test_sim_portfolio|test_portfolio_allocs|test_golden_trace|test_core_span_tracker|test_engine_errors' \
   2>&1 | tee -a test_output.txt
 # The same fuzz smoke under the sanitizers (undefined behavior in an
 # oracle or scheduler fails the run even when spans agree).
@@ -110,22 +112,6 @@ TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
 cmake --build build-tsan --target fjs_fuzz
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/fuzz/fjs_fuzz --smoke 2>&1 | tee -a test_output.txt
-
-# Allocation gate: a -DFJS_COUNT_ALLOCS=ON build counts every operator
-# new. The portfolio tests assert the span-only kernel, and the miner's
-# mutate-and-replay loop through it, reach a zero-allocation steady
-# state, and the E9 smoke re-emits the allocs_per_sim counter so
-# bench_compare's --allocs column warns (non-fatally) if a change
-# re-introduces per-simulation allocations.
-cmake -B build-allocs -G Ninja -DFJS_COUNT_ALLOCS=ON > /dev/null
-cmake --build build-allocs --target test_sim_portfolio fjs_experiments
-ctest --test-dir build-allocs --output-on-failure -R 'test_sim_portfolio' \
-  2>&1 | tee -a test_output.txt
-build-allocs/src/experiments/fjs_experiments --only e9 --smoke \
-  --out results --run-id e9-allocs --force --quiet
-scripts/bench_compare.py BENCH_allocs.json \
-  results/e9-allocs/e9/benchmarks.json --allocs \
-  || echo "WARNING: allocs-build bench smoke regressed vs BENCH_allocs.json (noisy single run)"
 
 # Planted-bug drill: a build with -DFJS_PLANTED_TIEBREAK_BUG=ON swaps the
 # engine's same-tick completion/arrival priority. The fuzzer MUST catch it

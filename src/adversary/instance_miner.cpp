@@ -302,7 +302,6 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
   const PortfolioEntry entry{scheduler.get(),
                              scheduler->requires_clairvoyance()};
   PortfolioRunner runner;
-  std::vector<Time> starts;
   std::size_t budget_skips = 0;
   // This objective is span/OPT: the LB pre-screen's span-free
   // upper bound is sound for it (and for no arbitrary mine_instance
@@ -310,7 +309,7 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
   options.screen_lb_precut = true;
   MinerResult result = mine_instance(
       [&](InstanceView view, double threshold) {
-        const Time span = runner.run_span(view, entry, &starts);
+        const Time span = runner.run_span(view, entry);
         // Pre-certification cut: span/lower_bound upper-bounds the true
         // ratio. When even that cannot beat the incumbent, settle the
         // candidate without certifying OPT — the dominant cost here by far

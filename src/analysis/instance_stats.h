@@ -27,9 +27,6 @@ struct InstanceStats {
 };
 
 InstanceStats compute_instance_stats(InstanceView view);
-inline InstanceStats compute_instance_stats(const Instance& instance) {
-  return compute_instance_stats(instance.view());
-}
 
 /// The paper's worst-case guarantees evaluated for this instance's μ:
 /// one line per scheduler ("batch+: span <= (mu+1)·OPT = 5.0·OPT", ...).

@@ -42,6 +42,13 @@ class Instance {
 
   /// Non-owning columnar view; valid while this Instance is alive.
   InstanceView view() const { return table_.view(); }
+
+  /// Every algorithm reads rows through an InstanceView, so an Instance
+  /// passes wherever a view is expected. Lvalues only: a view of a
+  /// temporary would dangle once the full expression ends.
+  operator InstanceView() const& { return view(); }
+  operator InstanceView() const&& = delete;
+
   const JobTable& table() const { return table_; }
 
   /// μ = max p / min p (≥ 1). Requires a non-empty instance.

@@ -41,11 +41,17 @@ Time Schedule::start(JobId id) const {
   return *starts_[id];
 }
 
-Interval Schedule::active_interval(const Instance& inst, JobId id) const {
+void Schedule::require_covered_by(InstanceView inst) const {
+  FJS_REQUIRE(starts_.size() <= inst.size(),
+              "Schedule: instance has fewer jobs than the schedule");
+}
+
+Interval Schedule::active_interval(InstanceView inst, JobId id) const {
+  FJS_REQUIRE(id < inst.size(), "Schedule: job id out of range");
   return inst.job(id).active_interval(start(id));
 }
 
-IntervalSet Schedule::active_set(const Instance& inst) const {
+IntervalSet Schedule::active_set(InstanceView inst) const {
   FJS_REQUIRE(inst.size() == starts_.size(),
               "Schedule: instance size mismatch");
   std::vector<Interval> intervals;
@@ -56,11 +62,11 @@ IntervalSet Schedule::active_set(const Instance& inst) const {
   return IntervalSet(std::move(intervals));
 }
 
-Time Schedule::span(const Instance& inst) const {
+Time Schedule::span(InstanceView inst) const {
   return active_set(inst).measure();
 }
 
-void Schedule::validate(const Instance& inst) const {
+void Schedule::validate(InstanceView inst) const {
   FJS_REQUIRE(inst.size() == starts_.size(),
               "Schedule: instance size mismatch");
   for (JobId id = 0; id < starts_.size(); ++id) {
@@ -75,7 +81,7 @@ void Schedule::validate(const Instance& inst) const {
   }
 }
 
-bool Schedule::is_valid(const Instance& inst) const {
+bool Schedule::is_valid(InstanceView inst) const {
   if (inst.size() != starts_.size()) {
     return false;
   }
@@ -89,7 +95,8 @@ bool Schedule::is_valid(const Instance& inst) const {
   return true;
 }
 
-std::size_t Schedule::concurrency_at(const Instance& inst, Time t) const {
+std::size_t Schedule::concurrency_at(InstanceView inst, Time t) const {
+  require_covered_by(inst);
   std::size_t count = 0;
   for (JobId id = 0; id < starts_.size(); ++id) {
     if (starts_[id].has_value() &&
@@ -100,10 +107,11 @@ std::size_t Schedule::concurrency_at(const Instance& inst, Time t) const {
   return count;
 }
 
-std::size_t Schedule::max_concurrency(const Instance& inst) const {
+std::size_t Schedule::max_concurrency(InstanceView inst) const {
   // Sweep over start/end events; +1 sorts before -1 at the same tick only
   // matters for closed intervals — with half-open intervals an end at t and
   // a start at t do NOT overlap, so process ends first.
+  require_covered_by(inst);
   std::vector<std::pair<Time, int>> events;
   events.reserve(starts_.size() * 2);
   for (JobId id = 0; id < starts_.size(); ++id) {
@@ -136,7 +144,8 @@ std::size_t Schedule::max_concurrency(const Instance& inst) const {
 }
 
 std::vector<std::pair<Time, std::size_t>> Schedule::concurrency_profile(
-    const Instance& inst) const {
+    InstanceView inst) const {
+  require_covered_by(inst);
   std::vector<std::pair<Time, int>> events;
   for (JobId id = 0; id < starts_.size(); ++id) {
     if (!starts_[id].has_value()) {
@@ -165,7 +174,8 @@ std::vector<std::pair<Time, std::size_t>> Schedule::concurrency_profile(
   return profile;
 }
 
-Time Schedule::makespan_end(const Instance& inst) const {
+Time Schedule::makespan_end(InstanceView inst) const {
+  require_covered_by(inst);
   Time end = Time::zero();
   for (JobId id = 0; id < starts_.size(); ++id) {
     if (starts_[id].has_value()) {
@@ -175,7 +185,8 @@ Time Schedule::makespan_end(const Instance& inst) const {
   return end;
 }
 
-Time Schedule::total_delay(const Instance& inst) const {
+Time Schedule::total_delay(InstanceView inst) const {
+  require_covered_by(inst);
   Time total = Time::zero();
   for (JobId id = 0; id < starts_.size(); ++id) {
     if (starts_[id].has_value()) {
@@ -185,7 +196,8 @@ Time Schedule::total_delay(const Instance& inst) const {
   return total;
 }
 
-std::string Schedule::to_string(const Instance& inst) const {
+std::string Schedule::to_string(InstanceView inst) const {
+  require_covered_by(inst);
   std::ostringstream os;
   for (JobId id = 0; id < starts_.size(); ++id) {
     os << inst.job(id).to_string() << " -> ";

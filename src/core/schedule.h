@@ -16,6 +16,10 @@ namespace fjs {
 ///
 /// A Schedule may be partial while under construction; all queries that
 /// depend on completeness (span, validate) require it complete unless noted.
+/// Queries read the job rows through an InstanceView (an Instance converts
+/// to one). A view accessor is unchecked, so every query that indexes rows
+/// by this schedule's ids first requires the view to cover them: a view
+/// smaller than the schedule throws AssertionError.
 class Schedule {
  public:
   Schedule() = default;
@@ -33,42 +37,42 @@ class Schedule {
   Time start(JobId id) const;
 
   /// Active interval of a job under this schedule.
-  Interval active_interval(const Instance& inst, JobId id) const;
+  Interval active_interval(InstanceView inst, JobId id) const;
 
   /// Union of all active intervals. Requires completeness.
-  IntervalSet active_set(const Instance& inst) const;
+  IntervalSet active_set(InstanceView inst) const;
 
   /// span = measure of the union of active intervals (§2).
-  Time span(const Instance& inst) const;
+  Time span(InstanceView inst) const;
 
   /// Throws AssertionError unless every job has
   /// arrival <= start <= deadline. Requires completeness.
-  void validate(const Instance& inst) const;
+  void validate(InstanceView inst) const;
 
   /// Non-throwing validity probe.
-  bool is_valid(const Instance& inst) const;
+  bool is_valid(InstanceView inst) const;
 
   /// Number of jobs running at time t (interval semantics are half-open).
-  std::size_t concurrency_at(const Instance& inst, Time t) const;
+  std::size_t concurrency_at(InstanceView inst, Time t) const;
 
   /// Peak number of simultaneously running jobs.
-  std::size_t max_concurrency(const Instance& inst) const;
+  std::size_t max_concurrency(InstanceView inst) const;
 
   /// Step function of running-job counts: breakpoints (t, c) meaning the
   /// concurrency is c on [t, next breakpoint). Starts at the first start
   /// event and ends with a (t, 0) entry at the last completion.
   std::vector<std::pair<Time, std::size_t>> concurrency_profile(
-      const Instance& inst) const;
+      InstanceView inst) const;
 
   /// Latest completion time across jobs; Time::zero() for empty schedules.
-  Time makespan_end(const Instance& inst) const;
+  Time makespan_end(InstanceView inst) const;
 
   /// Σ (start - arrival): total start delay introduced by the scheduler.
-  Time total_delay(const Instance& inst) const;
+  Time total_delay(InstanceView inst) const;
 
   const std::vector<std::optional<Time>>& starts() const { return starts_; }
 
-  std::string to_string(const Instance& inst) const;
+  std::string to_string(InstanceView inst) const;
 
   /// Plain-text serialization: count, then one start per line in units
   /// ("-" for unset slots). Round-trips through parse().
@@ -76,6 +80,9 @@ class Schedule {
   static Schedule parse(std::istream& is);
 
  private:
+  /// Throws unless `inst` has a row for every slot of this schedule.
+  void require_covered_by(InstanceView inst) const;
+
   std::vector<std::optional<Time>> starts_;
 };
 

@@ -28,7 +28,6 @@
 #include "offline/lower_bound.h"
 #include "schedulers/registry.h"
 #include "sim/portfolio.h"
-#include "support/alloc_counter.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
@@ -296,11 +295,8 @@ void heuristic(benchmark::State& state) {
 }
 
 // Span-only portfolio replay: one warm PortfolioRunner cycling a mid-size
-// instance through the smoke scheduler pair. The allocs_per_sim counter is
-// the steady-state heap-allocation rate measured through the
-// FJS_COUNT_ALLOCS operator-new hook — 0 is the design target (see
-// docs/PERF.md); the counter is omitted when the hook is compiled out so
-// bench_compare.py's --allocs gate never compares apples to zeros.
+// instance through the smoke scheduler pair. Its steady state allocates
+// nothing; the test_portfolio_allocs ctest asserts that exactly.
 void portfolio_span(benchmark::State& state) {
   const Instance inst = bench_instance(1'000, 11);
   const auto batch_plus = make_scheduler("batch+");
@@ -313,23 +309,13 @@ void portfolio_span(benchmark::State& state) {
   std::vector<Time> spans;
   runner.run_spans(inst, entries, spans);  // reach the warm steady state
   std::size_t sims = 0;
-  const AllocCounts before = alloc_counts();
   for (auto _ : state) {
     runner.run_spans(inst, entries, spans);
     sims += entries.size();
     benchmark::DoNotOptimize(spans.data());
   }
-  const AllocCounts after = alloc_counts();
   state.SetItemsProcessed(static_cast<std::int64_t>(sims));
-  if (alloc_counting_enabled()) {
-    state.counters["allocs_per_sim"] =
-        benchmark::Counter(static_cast<double>(after.allocations -
-                                               before.allocations) /
-                           static_cast<double>(sims > 0 ? sims : 1));
-    state.SetLabel("spans/iteration; alloc hook ON");
-  } else {
-    state.SetLabel("spans/iteration; alloc hook OFF (-DFJS_COUNT_ALLOCS=ON)");
-  }
+  state.SetLabel("spans/iteration");
 }
 
 // Per-bump cost of the telemetry hot path: one relaxed fetch_add on a
@@ -402,8 +388,8 @@ void register_benchmarks(bool smoke) {
     }
   }
   {
-    // In both profiles: the smoke run is what reproduce.sh's allocs gate
-    // reads, the full run feeds the BENCH_e9.json baseline.
+    // In both profiles: the smoke run feeds reproduce.sh's bench_compare
+    // run, the full run the BENCH_e9.json baseline.
     auto* b = benchmark::RegisterBenchmark("BM_PortfolioSpan",
                                            portfolio_span);
     if (smoke) {

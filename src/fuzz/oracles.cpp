@@ -367,6 +367,13 @@ Oracle exact_vs_reference_oracle(const OracleOptions& options) {
 /// identical spans from the view-based run_span path. Deliberately NOT
 /// horizon-capped: near-Time::max() magnitudes must agree too, including
 /// on which operations fail (both sides throwing counts as agreement).
+///
+/// The algorithms take only a view, so the "owned" side of the lower
+/// bound, instance-stats, prepare and run_span checks reaches them through
+/// Instance's conversion to InstanceView: those checks pin the conversion
+/// against the scratch view. The derived-stat, ordering and grid checks
+/// compare the Instance's own (cached) accessors and pin the view's
+/// recomputation.
 Oracle view_vs_owned_oracle() {
   return Oracle{
       "view-vs-owned",

@@ -1068,21 +1068,20 @@ class Search {
   std::vector<Time> best_starts_;
 };
 
-Schedule schedule_from_starts(const Instance& inst,
+Schedule schedule_from_starts(InstanceView view,
                               const std::vector<Time>& starts) {
-  Schedule schedule(inst.size());
-  for (JobId j = 0; j < inst.size(); ++j) {
+  Schedule schedule(view.size());
+  for (JobId j = 0; j < view.size(); ++j) {
     schedule.set_start(j, starts[j]);
   }
-  schedule.validate(inst);
+  schedule.validate(view);
   return schedule;
 }
 
-ExactResult finish(const Instance* owner, Time span, Schedule schedule,
+ExactResult finish(InstanceView view, Time span, Schedule schedule,
                    ExactStatus status, std::size_t nodes) {
   // span_only results carry an empty schedule; there is nothing to check.
-  FJS_CHECK(schedule.size() == 0 ||
-                (owner != nullptr && schedule.span(*owner) == span),
+  FJS_CHECK(schedule.size() == 0 || schedule.span(view) == span,
             "exact: span mismatch on reconstruction");
   ExactResult result;
   result.span = span;
@@ -1092,12 +1091,10 @@ ExactResult finish(const Instance* owner, Time span, Schedule schedule,
   return result;
 }
 
-/// Shared search driver. `owner` is the owning Instance when the caller
-/// has one (required for every non-span_only run: schedule construction
-/// and validation need it); the span_only view path passes nullptr.
-ExactResult run_search(InstanceView view, const Instance* owner,
-                       Schedule seed_schedule, Time seed_span,
-                       const ExactOptions& options) {
+/// Runs the search from the seed incumbent and turns the outcome
+/// into a result (with a witness schedule unless span_only).
+ExactResult run_search(InstanceView view, Schedule seed_schedule,
+                       Time seed_span, const ExactOptions& options) {
   const Mask full =
       view.size() == 64 ? ~Mask{0} : (Mask{1} << view.size()) - 1;
 
@@ -1120,13 +1117,13 @@ ExactResult run_search(InstanceView view, const Instance* owner,
   if (search.aborted()) {
     // Best-so-far: the seed unless the search surfaced a better terminal.
     if (search.best_sched_span() < seed_span) {
-      return finish(owner, search.best_sched_span(),
+      return finish(view, search.best_sched_span(),
                     options.span_only
                         ? Schedule(0)
-                        : schedule_from_starts(*owner, search.best_starts()),
+                        : schedule_from_starts(view, search.best_starts()),
                     ExactStatus::kBudgetExceeded, nodes);
     }
-    return finish(owner, seed_span, std::move(seed_schedule),
+    return finish(view, seed_span, std::move(seed_schedule),
                   ExactStatus::kBudgetExceeded, nodes);
   }
   if (!o.exact || o.value >= seed_span) {
@@ -1135,47 +1132,46 @@ ExactResult run_search(InstanceView view, const Instance* owner,
       // lower bound on OPT no smaller than the root bound — the floor.
       FJS_CHECK(o.value >= options.decision_floor,
                 "exact: floor search returned a bound below the floor");
-      return finish(owner, seed_span, std::move(seed_schedule),
+      return finish(view, seed_span, std::move(seed_schedule),
                     ExactStatus::kFloorProven, nodes);
     }
     // The search proved nothing beats the seed: the seed is optimal.
-    return finish(owner, seed_span, std::move(seed_schedule),
+    return finish(view, seed_span, std::move(seed_schedule),
                   ExactStatus::kOptimal, nodes);
   }
   if (options.span_only) {
-    return finish(owner, o.value, Schedule(0), ExactStatus::kOptimal, nodes);
+    return finish(view, o.value, Schedule(0), ExactStatus::kOptimal, nodes);
   }
   // Every exact value the search returns comes from a terminal it
   // visited, so the best terminal it recorded is a witness.
   FJS_CHECK(search.best_sched_span() == o.value,
             "exact: optimum without a recorded witness");
-  return finish(owner, o.value,
-                schedule_from_starts(*owner, search.best_starts()),
+  return finish(view, o.value, schedule_from_starts(view, search.best_starts()),
                 ExactStatus::kOptimal, nodes);
 }
 
 }  // namespace
 
-ExactResult exact_optimal(const Instance& instance, ExactOptions options) {
-  if (instance.empty()) {
+ExactResult exact_optimal(InstanceView view, ExactOptions options) {
+  if (view.empty()) {
     return ExactResult{.span = Time::zero(), .schedule = Schedule(0)};
   }
-  FJS_REQUIRE(instance.size() <= 64,
+  FJS_REQUIRE(view.size() <= 64,
               "exact: more than 64 jobs — use the heuristic + lower bounds");
 
   // Seed incumbent: a valid schedule (or in span_only mode at least a known
   // feasible span) exists before the first node, so a budget-exceeded
   // result always carries a usable best-so-far, and the admissible bound
   // prunes from the start.
-  Schedule seed_schedule(options.span_only ? 0 : instance.size());
+  Schedule seed_schedule(options.span_only ? 0 : view.size());
   Time seed_span = Time::max();
   if (options.span_only) {
     if (options.seed_with_heuristic) {
       HeuristicOptions h;
       h.restarts = 0;
       h.max_passes = 8;
-      const HeuristicResult hr = heuristic_optimal(instance, h);
-      seed_span = hr.schedule.span(instance);
+      const HeuristicResult hr = heuristic_optimal(view, h);
+      seed_span = hr.schedule.span(view);
     }
     if (options.seed_span > Time::zero()) {
       seed_span = std::min(seed_span, options.seed_span);
@@ -1188,17 +1184,17 @@ ExactResult exact_optimal(const Instance& instance, ExactOptions options) {
       HeuristicOptions h;
       h.restarts = 0;
       h.max_passes = 8;
-      seed_schedule = heuristic_optimal(instance, h).schedule;
+      seed_schedule = heuristic_optimal(view, h).schedule;
     } else {
-      for (JobId j = 0; j < instance.size(); ++j) {
-        seed_schedule.set_start(j, instance.job(j).arrival);
+      for (JobId j = 0; j < view.size(); ++j) {
+        seed_schedule.set_start(j, view.arrival(j));
       }
     }
-    seed_schedule.validate(instance);
-    seed_span = seed_schedule.span(instance);
+    seed_schedule.validate(view);
+    seed_span = seed_schedule.span(view);
     if (options.seed_schedule != nullptr) {
-      options.seed_schedule->validate(instance);
-      const Time caller_span = options.seed_schedule->span(instance);
+      options.seed_schedule->validate(view);
+      const Time caller_span = options.seed_schedule->span(view);
       if (caller_span < seed_span) {
         seed_schedule = *options.seed_schedule;
         seed_span = caller_span;
@@ -1209,33 +1205,11 @@ ExactResult exact_optimal(const Instance& instance, ExactOptions options) {
     // matches the reported incumbent.
   }
 
-  return run_search(instance.view(), &instance, std::move(seed_schedule),
-                    seed_span, options);
+  return run_search(view, std::move(seed_schedule), seed_span, options);
 }
 
-ExactResult exact_optimal(InstanceView view, ExactOptions options) {
-  // The owner-less entry is the miner's certification loop: span-only
-  // decision runs over its patched incumbent table. Everything that needs an
-  // owning Instance (heuristic seeding, witness schedules) is excluded by
-  // construction.
-  FJS_REQUIRE(options.span_only,
-              "exact(view): requires span_only (no witness schedule without "
-              "an owning Instance)");
-  FJS_REQUIRE(!options.seed_with_heuristic && options.seed_schedule == nullptr,
-              "exact(view): heuristic/schedule seeding needs an owning "
-              "Instance — pass seed_span instead");
-  FJS_REQUIRE(options.seed_span > Time::zero(),
-              "exact(view): span_only needs a seed_span incumbent");
-  if (view.empty()) {
-    return ExactResult{.span = Time::zero(), .schedule = Schedule(0)};
-  }
-  FJS_REQUIRE(view.size() <= 64,
-              "exact: more than 64 jobs — use the heuristic + lower bounds");
-  return run_search(view, nullptr, Schedule(0), options.seed_span, options);
-}
-
-Time exact_optimal_span(const Instance& instance, ExactOptions options) {
-  const ExactResult result = exact_optimal(instance, std::move(options));
+Time exact_optimal_span(InstanceView view, ExactOptions options) {
+  const ExactResult result = exact_optimal(view, std::move(options));
   FJS_REQUIRE(result.optimal(),
               "exact: node budget exhausted — instance too large for the "
               "exact solver; use exact_optimal for the best-so-far result");

@@ -67,11 +67,11 @@ struct ExactOptions {
   bool seed_with_heuristic = true;
   /// Optional caller-supplied incumbent (non-owning; must be a feasible
   /// schedule for the instance). When the caller already holds *some*
-  /// valid schedule — the miner holds the online run it just simulated —
-  /// passing it here primes the upper bound for free. Combines with the
-  /// other seeds: the best available incumbent wins. Never changes the
-  /// returned span (the search still proves optimality); only how much of
-  /// the tree the bound can cut.
+  /// valid schedule — an online run it just simulated, say — passing it
+  /// here primes the upper bound for free. Combines with the other seeds:
+  /// the best available incumbent wins. Never changes the returned span
+  /// (the search still proves optimality); only how much of the tree the
+  /// bound can cut. Ignored under span_only, whose callers pass seed_span.
   const Schedule* seed_schedule = nullptr;
   /// Decision floor (zero = disabled). When the caller only needs to know
   /// whether OPT < floor — the adversarial miner asks "can this candidate's
@@ -135,20 +135,16 @@ struct ExactResult {
 };
 
 /// Computes a provably optimal schedule (any tick-valued instance). Never
-/// throws on budget exhaustion — check `result.status`.
-ExactResult exact_optimal(const Instance& instance, ExactOptions options = {});
-
-/// Owner-less span/decision entry over a non-owning view — the miner's
-/// certification hot path, running directly on its patched incumbent
-/// table with no Instance materialization. Requires `options.span_only` with a
-/// positive `seed_span`, and forbids heuristic/schedule seeding (both need
-/// an owning Instance). Same search, same determinism, empty schedule out.
-ExactResult exact_optimal(InstanceView view, ExactOptions options);
+/// throws on budget exhaustion — check `result.status`. Reads the rows
+/// through a view (an Instance converts to one), so the miner certifies
+/// its patched incumbent table without materializing an Instance. The
+/// view's rows must be valid jobs; only an Instance guarantees that.
+ExactResult exact_optimal(InstanceView view, ExactOptions options = {});
 
 /// Convenience: the optimal span only. Throws AssertionError if the node
 /// budget is exhausted (callers that want the structured best-so-far result
 /// use exact_optimal).
-Time exact_optimal_span(const Instance& instance, ExactOptions options = {});
+Time exact_optimal_span(InstanceView view, ExactOptions options = {});
 
 /// Legacy grid DFS, kept verbatim as the differential-testing oracle for
 /// the branch-and-bound (and as the "before" body in the E9 solver

@@ -135,7 +135,7 @@ std::pair<Time, Time> best_placement(const Job& j, Components near,
 
 /// Greedy construction: place jobs in `order`, each at its best alignment
 /// against the union of already-placed intervals.
-void greedy(const Instance& inst, const std::vector<JobId>& order,
+void greedy(InstanceView inst, const std::vector<JobId>& order,
             Workspace& ws, std::vector<Time>& starts) {
   ws.placed.clear();
   for (const JobId id : order) {
@@ -148,7 +148,7 @@ void greedy(const Instance& inst, const std::vector<JobId>& order,
 
 /// Loads ws.windows, ws.window_ids and ws.window_reach from the ids in
 /// arrival order (a window's lo is its job's arrival); once per call.
-void load_windows(const Instance& inst, const std::vector<JobId>& by_arrival,
+void load_windows(InstanceView inst, const std::vector<JobId>& by_arrival,
                   Workspace& ws) {
   ws.window_ids = by_arrival;
   ws.windows.clear();
@@ -160,7 +160,7 @@ void load_windows(const Instance& inst, const std::vector<JobId>& by_arrival,
 
 /// Loads ws.intervals, ws.sorted and ws.sorted_reach from `starts`, and
 /// marks every job dirty.
-void load_intervals(const Instance& inst, const std::vector<Time>& starts,
+void load_intervals(InstanceView inst, const std::vector<Time>& starts,
                     Workspace& ws) {
   ws.intervals.resize(inst.size());
   for (JobId id = 0; id < inst.size(); ++id) {
@@ -215,7 +215,7 @@ void mark_windows_touching(const Interval& iv, Workspace& ws) {
 /// job is skipped: its own interval and every interval touching its
 /// window are as they were at its last evaluation, which found no strict
 /// improvement, so it would find none now.
-bool improve_pass(const Instance& inst, const std::vector<JobId>& order,
+bool improve_pass(InstanceView inst, const std::vector<JobId>& order,
                   Workspace& ws, std::vector<Time>& starts,
                   DescentStats& stats) {
   bool moved = false;
@@ -251,7 +251,7 @@ bool improve_pass(const Instance& inst, const std::vector<JobId>& order,
 
 }  // namespace
 
-HeuristicResult heuristic_optimal(const Instance& instance,
+HeuristicResult heuristic_optimal(InstanceView instance,
                                   HeuristicOptions options) {
   if (instance.empty()) {
     return HeuristicResult{.span = Time::zero(), .schedule = Schedule(0)};
@@ -312,7 +312,7 @@ HeuristicResult heuristic_optimal(const Instance& instance,
   return HeuristicResult{.span = best_span, .schedule = std::move(schedule)};
 }
 
-Time heuristic_span(const Instance& instance, HeuristicOptions options) {
+Time heuristic_span(InstanceView instance, HeuristicOptions options) {
   return heuristic_optimal(instance, options).span;
 }
 

@@ -31,10 +31,10 @@ struct HeuristicResult {
 
 /// Returns a valid schedule whose span upper-bounds (and usually closely
 /// tracks) the optimum.
-HeuristicResult heuristic_optimal(const Instance& instance,
+HeuristicResult heuristic_optimal(InstanceView instance,
                                   HeuristicOptions options = {});
 
 /// Convenience: the heuristic span only.
-Time heuristic_span(const Instance& instance, HeuristicOptions options = {});
+Time heuristic_span(InstanceView instance, HeuristicOptions options = {});
 
 }  // namespace fjs

@@ -7,7 +7,7 @@
 //
 // Every bound takes an InstanceView — the miner's certification objective
 // calls them on its patched incumbent table with no owning Instance in
-// sight. The Instance overloads are thin forwarders.
+// sight; an Instance converts to its view.
 #pragma once
 
 #include "core/instance.h"
@@ -20,29 +20,17 @@ namespace fjs {
 /// job's laxity is smaller than its length, every placement covers that
 /// region, so every schedule's span covers their union.
 Time mandatory_lower_bound(InstanceView view);
-inline Time mandatory_lower_bound(const Instance& instance) {
-  return mandatory_lower_bound(instance.view());
-}
 
 /// Disjointness-chain bound: if a(J') >= d(J) + p(J), the active intervals
 /// of J and J' cannot overlap under any schedule (J is forced to finish
 /// before J' exists). The maximum-weight chain of pairwise-forced-disjoint
 /// jobs, weighted by processing length, lower-bounds the span. O(n log n).
 Time chain_lower_bound(InstanceView view);
-inline Time chain_lower_bound(const Instance& instance) {
-  return chain_lower_bound(instance.view());
-}
 
 /// The longest single job is always fully inside the span.
 Time max_length_lower_bound(InstanceView view);
-inline Time max_length_lower_bound(const Instance& instance) {
-  return max_length_lower_bound(instance.view());
-}
 
 /// max of the three bounds above. Zero for the empty instance.
 Time best_lower_bound(InstanceView view);
-inline Time best_lower_bound(const Instance& instance) {
-  return best_lower_bound(instance.view());
-}
 
 }  // namespace fjs

@@ -527,16 +527,10 @@ SimulationResult Engine::run() {
   return result;
 }
 
-Time Engine::run_span(std::vector<Time>* starts_out) {
+Time Engine::run_span() {
   drive();
   FJS_CHECK(done_count_ == jobs_.size(),
             "run_span: not every released job completed");
-  if (starts_out != nullptr) {
-    starts_out->resize(jobs_.size());
-    for (JobId id = 0; id < jobs_.size(); ++id) {
-      (*starts_out)[id] = jobs_[id].start;
-    }
-  }
   const Time span = span_.span();
   recycle_workspace();
   return span;

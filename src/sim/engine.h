@@ -162,11 +162,7 @@ class Engine {
   /// Fast path for sweeps: runs the simulation and returns only the span,
   /// skipping the realized instance/schedule construction and the
   /// (redundant — every start was already window-checked) validation pass.
-  /// If `starts_out` is non-null it is resized to the released job count
-  /// and filled with the chosen start times, indexed by engine job id
-  /// (release order) — the cheap way to recover the online schedule
-  /// without materializing an Instance/Schedule pair.
-  Time run_span(std::vector<Time>* starts_out = nullptr);
+  Time run_span();
 
   /// Static replay: installs n prevalidated jobs, engine id i being
   /// (arrivals[i], deadlines[i], lengths[i]) with arrivals nondecreasing,
@@ -268,13 +264,13 @@ class Engine {
 /// before returning. Runs through a thread-local PortfolioRunner (defined
 /// in portfolio.cpp), so back-to-back calls on one thread reuse its
 /// prepared columns and engine workspace.
-SimulationResult simulate(const Instance& instance, OnlineScheduler& scheduler,
+SimulationResult simulate(InstanceView instance, OnlineScheduler& scheduler,
                           bool clairvoyant, bool record_trace = false);
 
 /// Like simulate(), but returns the span only (PortfolioRunner::run_span):
 /// no trace, no result construction, no second validation pass. A warm
 /// thread allocates nothing.
-Time simulate_span(const Instance& instance, OnlineScheduler& scheduler,
+Time simulate_span(InstanceView instance, OnlineScheduler& scheduler,
                    bool clairvoyant);
 
 }  // namespace fjs

@@ -64,15 +64,14 @@ void PreparedInstance::prepare(InstanceView view) {
   }
 }
 
-Time PortfolioRunner::replay_span(const PortfolioEntry& entry,
-                                  std::vector<Time>* starts_engine_order) {
+Time PortfolioRunner::replay_span(const PortfolioEntry& entry) {
   NullSource source;
   NoDeferralOracle oracle;
   Engine engine(source, oracle, *entry.scheduler,
                 EngineOptions{.clairvoyant = entry.clairvoyant}, &workspace_);
   engine.preload_static(prepared_.arrivals(), prepared_.deadlines(),
                         prepared_.lengths());
-  return engine.run_span(starts_engine_order);
+  return engine.run_span();
 }
 
 void PortfolioRunner::run_spans(InstanceView view,
@@ -81,25 +80,14 @@ void PortfolioRunner::run_spans(InstanceView view,
   spans_out.resize(entries.size());
   prepared_.prepare(view);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    spans_out[i] = replay_span(entries[i], nullptr);
+    spans_out[i] = replay_span(entries[i]);
   }
 }
 
-Time PortfolioRunner::run_span(InstanceView view, const PortfolioEntry& entry,
-                               std::vector<Time>* starts_out) {
+Time PortfolioRunner::run_span(InstanceView view,
+                               const PortfolioEntry& entry) {
   prepared_.prepare(view);
-  if (starts_out == nullptr) {
-    return replay_span(entry, nullptr);
-  }
-  const Time span = replay_span(entry, &starts_scratch_);
-  // Engine order is arrival order; hand the caller starts under the
-  // instance's own ids.
-  starts_out->resize(starts_scratch_.size());
-  const std::vector<JobId>& original = prepared_.original_ids();
-  for (std::size_t k = 0; k < starts_scratch_.size(); ++k) {
-    (*starts_out)[original[k]] = starts_scratch_[k];
-  }
-  return span;
+  return replay_span(entry);
 }
 
 SimulationResult PortfolioRunner::run_full(InstanceView view,
@@ -117,15 +105,15 @@ SimulationResult PortfolioRunner::run_full(InstanceView view,
   return engine.run();
 }
 
-SimulationResult simulate(const Instance& instance, OnlineScheduler& scheduler,
+SimulationResult simulate(InstanceView instance, OnlineScheduler& scheduler,
                           bool clairvoyant, bool record_trace) {
   return thread_runner().run_full(
-      instance.view(), PortfolioEntry{&scheduler, clairvoyant}, record_trace);
+      instance, PortfolioEntry{&scheduler, clairvoyant}, record_trace);
 }
 
-Time simulate_span(const Instance& instance, OnlineScheduler& scheduler,
+Time simulate_span(InstanceView instance, OnlineScheduler& scheduler,
                    bool clairvoyant) {
-  return thread_runner().run_span(instance.view(),
+  return thread_runner().run_span(instance,
                                   PortfolioEntry{&scheduler, clairvoyant});
 }
 

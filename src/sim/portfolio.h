@@ -18,8 +18,8 @@
 //
 // The span-only mode (run_spans/run_span) skips Instance/Schedule
 // materialization entirely and, with a warm runner, performs ZERO heap
-// allocations per simulation — asserted under FJS_COUNT_ALLOCS (see
-// support/alloc_counter.h and docs/PERF.md).
+// allocations per simulation — asserted by the test_portfolio_allocs
+// ctest, which links a counting operator new (docs/PERF.md).
 //
 // Adaptive adversaries do not come through here: their timeline depends
 // on the scheduler's own actions, so they drive an Engine with their
@@ -52,12 +52,9 @@ class PreparedInstance {
   PreparedInstance() = default;
 
   /// Validates the jobs (same checks as Engine release) and rebuilds the
-  /// columns for `instance`.
-  void prepare(const Instance& instance) { prepare(instance.view()); }
-
-  /// Same lowering over a non-owning view (e.g. the miner's incumbent
-  /// table with one row patched) — no Instance is materialized. The view only needs to
-  /// stay alive for this call; the columns copy everything out.
+  /// columns for `view` — an Instance, or e.g. the miner's incumbent table
+  /// with one row patched, so no Instance is materialized. The view only
+  /// needs to stay alive for this call; the columns copy everything out.
   void prepare(InstanceView view);
 
   std::size_t size() const { return arrivals_.size(); }
@@ -86,23 +83,11 @@ class PortfolioRunner {
   /// Span-only batch: spans_out[i] is entry i's span on `view`.
   void run_spans(InstanceView view, std::span<const PortfolioEntry> entries,
                  std::vector<Time>& spans_out);
-  void run_spans(const Instance& instance,
-                 std::span<const PortfolioEntry> entries,
-                 std::vector<Time>& spans_out) {
-    run_spans(instance.view(), entries, spans_out);
-  }
 
-  /// Single-entry span path. If `starts_out` is non-null it is filled
-  /// with the scheduler's chosen start times indexed by the instance's own
-  /// job ids — the online schedule without materializing a Schedule. On a
-  /// view this is the miner's hot loop: its incumbent JobTable, with one
-  /// row patched in place, is evaluated without materializing an Instance.
-  Time run_span(InstanceView view, const PortfolioEntry& entry,
-                std::vector<Time>* starts_out = nullptr);
-  Time run_span(const Instance& instance, const PortfolioEntry& entry,
-                std::vector<Time>* starts_out = nullptr) {
-    return run_span(instance.view(), entry, starts_out);
-  }
+  /// Single-entry span path. This is the miner's hot loop: its incumbent
+  /// JobTable, with one row patched in place, is evaluated without
+  /// materializing an Instance.
+  Time run_span(InstanceView view, const PortfolioEntry& entry);
 
   /// Full-result mode, the body of simulate(): realized instance (jobs in
   /// arrival order), validated schedule, optional trace.
@@ -115,11 +100,9 @@ class PortfolioRunner {
   void enable_prefix_replay() {}
 
  private:
-  Time replay_span(const PortfolioEntry& entry,
-                   std::vector<Time>* starts_engine_order);
+  Time replay_span(const PortfolioEntry& entry);
 
   PreparedInstance prepared_;
-  std::vector<Time> starts_scratch_;
   EngineWorkspace workspace_;
 };
 

@@ -5,8 +5,8 @@
 //
 //  * Zero steady-state allocations. Each thread gets one fixed-size
 //    block of atomic cells, allocated on that thread's first metric
-//    touch (a warm-up cost, bracketed away by the FJS_COUNT_ALLOCS
-//    gate exactly like the engine workspaces). After that, a counter
+//    touch (a warm-up cost, bracketed away by test_portfolio_allocs
+//    exactly like the engine workspaces). After that, a counter
 //    bump is a single relaxed fetch_add on a thread-owned cell.
 //  * Lock-free on the hot path. The registry mutex is taken only on
 //    metric registration (static initialization), thread first-touch /

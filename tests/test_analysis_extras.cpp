@@ -39,7 +39,8 @@ TEST(InstanceStats, BasicQuantities) {
 }
 
 TEST(InstanceStats, RejectsEmpty) {
-  EXPECT_THROW(compute_instance_stats(Instance{}), AssertionError);
+  const Instance empty;
+  EXPECT_THROW(compute_instance_stats(empty), AssertionError);
   EXPECT_THROW(guarantee_table(Instance{}), AssertionError);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "core/instance.h"
 #include "core/schedule.h"
@@ -12,6 +13,13 @@ namespace {
 
 using testing::make_instance;
 using testing::units;
+
+// An lvalue Instance converts to its view; a temporary does not, since
+// the view would dangle once the full expression ends.
+static_assert(std::is_convertible_v<const Instance&, InstanceView>);
+static_assert(std::is_convertible_v<Instance&, InstanceView>);
+static_assert(!std::is_convertible_v<Instance&&, InstanceView>);
+static_assert(!std::is_convertible_v<Instance, InstanceView>);
 
 TEST(Job, LaxityAndWindows) {
   const Job j{.id = 0, .arrival = units(1.0), .deadline = units(4.0),
@@ -163,6 +171,45 @@ TEST(Schedule, ToStringListsJobs) {
   EXPECT_NE(s.to_string(inst).find("unscheduled"), std::string::npos);
   s.set_start(0, units(0.0));
   EXPECT_NE(s.to_string(inst).find("start"), std::string::npos);
+}
+
+TEST(Schedule, ConvertedInstanceReadsTheSameRows) {
+  const Instance inst = make_instance({{0, 5, 2}, {1, 6, 2}});
+  const InstanceView view = inst;
+  EXPECT_EQ(view.size(), inst.size());
+  EXPECT_EQ(view.arrivals().data(), inst.view().arrivals().data());
+  const Schedule s = Schedule::from_starts({units(1.0), units(3.0)});
+  EXPECT_EQ(s.span(inst), s.span(inst.view()));
+}
+
+TEST(Schedule, ViewSmallerThanScheduleThrows) {
+  // A view accessor is unchecked, so every query that indexes rows by the
+  // schedule's ids must refuse a view that lacks some of them (as
+  // Instance::job's range check used to).
+  const Instance inst = make_instance({{0, 5, 2}, {1, 6, 2}});
+  const InstanceView prefix(inst.view().arrivals().first(1),
+                            inst.view().deadlines().first(1),
+                            inst.view().lengths().first(1));
+  const Schedule s = Schedule::from_starts({units(1.0), units(3.0)});
+  EXPECT_THROW((void)s.active_interval(prefix, 1), AssertionError);
+  EXPECT_THROW((void)s.active_set(prefix), AssertionError);
+  EXPECT_THROW((void)s.span(prefix), AssertionError);
+  EXPECT_THROW(s.validate(prefix), AssertionError);
+  EXPECT_FALSE(s.is_valid(prefix));
+  EXPECT_THROW((void)s.concurrency_at(prefix, units(1.0)), AssertionError);
+  EXPECT_THROW((void)s.max_concurrency(prefix), AssertionError);
+  EXPECT_THROW((void)s.concurrency_profile(prefix), AssertionError);
+  EXPECT_THROW((void)s.makespan_end(prefix), AssertionError);
+  EXPECT_THROW((void)s.total_delay(prefix), AssertionError);
+  EXPECT_THROW((void)s.to_string(prefix), AssertionError);
+  // Unset slots beyond the view are refused too: the view must cover
+  // the whole schedule.
+  Schedule partial(2);
+  partial.set_start(0, units(1.0));
+  EXPECT_THROW((void)partial.max_concurrency(prefix), AssertionError);
+  EXPECT_THROW((void)partial.to_string(prefix), AssertionError);
+  // The covered prefix itself is fine.
+  EXPECT_EQ(s.active_interval(prefix, 0), Interval(units(1.0), units(3.0)));
 }
 
 }  // namespace

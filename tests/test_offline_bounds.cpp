@@ -48,8 +48,9 @@ TEST(ChainBound, NoForcedDisjointness) {
 }
 
 TEST(ChainBound, EmptyInstance) {
-  EXPECT_EQ(chain_lower_bound(Instance{}), Time::zero());
-  EXPECT_EQ(best_lower_bound(Instance{}), Time::zero());
+  const Instance empty;
+  EXPECT_EQ(chain_lower_bound(empty), Time::zero());
+  EXPECT_EQ(best_lower_bound(empty), Time::zero());
 }
 
 TEST(MaxLengthBound, Simple) {
@@ -75,7 +76,8 @@ TEST(Heuristic, ValidOnCraftedInstance) {
 }
 
 TEST(Heuristic, EmptyInstance) {
-  const HeuristicResult result = heuristic_optimal(Instance{});
+  const Instance empty;
+  const HeuristicResult result = heuristic_optimal(empty);
   EXPECT_EQ(result.span, Time::zero());
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/job_table.h"
 #include "helpers.h"
 #include "support/assert.h"
 #include "workload/generator.h"
@@ -129,6 +130,22 @@ TEST_P(BnBVsReference, Agrees) {
   EXPECT_EQ(crit.span, ref.span) << inst.to_string();
   crit.schedule.validate(inst);
   EXPECT_EQ(crit.schedule.span(inst), crit.span);
+  // The same default solve (heuristic seed, witness schedule) over a
+  // JobTable view with one row patched in place, as the miner holds it,
+  // must equal the solve on the materialized Instance.
+  JobTable table{inst.view()};
+  const auto victim = static_cast<JobId>(seed % jobs);
+  const Job job = table.job(victim);
+  table.set(victim, job.arrival, job.deadline + units(1.0), job.length);
+  const Instance patched{JobTable(table.view())};
+  const ExactResult on_view = exact_optimal(table.view());
+  const ExactResult on_owned = exact_optimal(patched);
+  ASSERT_TRUE(on_owned.optimal());
+  EXPECT_EQ(on_view.status, on_owned.status);
+  EXPECT_EQ(on_view.span, on_owned.span) << patched.to_string();
+  EXPECT_EQ(on_view.nodes_explored, on_owned.nodes_explored);
+  EXPECT_EQ(on_view.schedule.starts(), on_owned.schedule.starts());
+  EXPECT_EQ(on_view.span, exact_optimal_reference(patched).span);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, BnBVsReference,

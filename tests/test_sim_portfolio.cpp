@@ -3,9 +3,9 @@
 // the engine's release path (a StaticSource replay) — same realized
 // instance, same schedule, same trace, same span — for every registry
 // scheduler, both clairvoyance modes, any thread count, and with buffer
-// reuse across instances of different sizes. When the build carries the
-// FJS_COUNT_ALLOCS hook, also pins the zero-steady-state-allocation
-// guarantee of the span-only path (docs/PERF.md).
+// reuse across instances of different sizes. The zero-steady-state-
+// allocation guarantee of the span-only path is pinned separately, by
+// test_portfolio_allocs (it links a counting operator new).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,7 +20,6 @@
 #include "sim/engine.h"
 #include "sim/portfolio.h"
 #include "sim/source.h"
-#include "support/alloc_counter.h"
 #include "support/parallel.h"
 #include "support/thread_pool.h"
 
@@ -152,35 +151,6 @@ TEST(Portfolio, SpanModeMatchesReleasePath) {
   }
 }
 
-TEST(Portfolio, RunSpanStartsMapBackToInstanceIds) {
-  // Unsorted arrivals: engine job ids differ from the instance's own ids,
-  // so this pins the original_ids() mapping.
-  const Instance instance = make_instance(
-      {{5, 8, 2}, {0, 1, 1}, {3, 3, 2}, {1, 6, 1}, {2, 2, 3}, {0, 4, 2}});
-  const auto scheduler = make_scheduler("batch+");
-  PortfolioRunner runner;
-  std::vector<Time> starts;
-  const Time span = runner.run_span(
-      instance, PortfolioEntry{scheduler.get(), true}, &starts);
-
-  const auto classic_scheduler = make_scheduler("batch+");
-  const SimulationResult classic =
-      simulate(instance, *classic_scheduler, /*clairvoyant=*/true);
-  EXPECT_EQ(span, classic.realized_span);
-  // simulate() reindexes jobs into arrival order; starts[] is indexed by
-  // the instance's ORIGINAL ids, so compare through the arrival sort.
-  const std::vector<JobId> by_arrival = instance.ids_by_arrival();
-  ASSERT_EQ(starts.size(), instance.size());
-  for (JobId engine_id = 0; engine_id < instance.size(); ++engine_id) {
-    EXPECT_EQ(starts[by_arrival[engine_id]],
-              classic.schedule.start(engine_id));
-  }
-  // The recovered starts form a valid schedule with the reported span.
-  const Schedule schedule = Schedule::from_starts(starts);
-  schedule.validate(instance);
-  EXPECT_EQ(schedule.span(instance), span);
-}
-
 TEST(Portfolio, RunnerReuseAcrossInstanceSizesIsDeterministic) {
   // One runner cycling instances of very different sizes: buffer reuse
   // must never leak state between runs.
@@ -244,118 +214,6 @@ TEST(Portfolio, ParallelGridMatchesSerialAcrossThreadCounts) {
   const auto serial = compute(0);
   EXPECT_EQ(serial, compute(1));
   EXPECT_EQ(serial, compute(4));
-}
-
-// --- Allocation regression assertions (FJS_COUNT_ALLOCS builds) -------
-//
-// The counters are thread-local and the runs below are single-threaded
-// and deterministic, so the measured deltas are exact, not statistical.
-
-TEST(PortfolioAllocs, SpanModeSteadyStateIsAllocationFree) {
-  if (!alloc_counting_enabled()) {
-    GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
-  }
-  const Instance instance = random_integral_instance(3, 40, 60, 6, 5);
-  const auto batch_plus = make_scheduler("batch+");
-  const auto profit = make_scheduler("profit");
-  const std::vector<PortfolioEntry> entries = {
-      PortfolioEntry{batch_plus.get(), true},
-      PortfolioEntry{profit.get(), true},
-  };
-  PortfolioRunner runner;
-  std::vector<Time> spans;
-  runner.run_spans(instance, entries, spans);  // warm the workspace
-  runner.run_spans(instance, entries, spans);
-  const AllocCounts before = alloc_counts();
-  for (int i = 0; i < 20; ++i) {
-    runner.run_spans(instance, entries, spans);
-  }
-  const AllocCounts after = alloc_counts();
-  EXPECT_EQ(after.allocations - before.allocations, 0u)
-      << "span-only portfolio steady state must not touch the heap";
-}
-
-TEST(PortfolioAllocs, MinerMutationLoopIsAllocationFree) {
-  if (!alloc_counting_enabled()) {
-    GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
-  }
-  // The miner's hot loop: a scratch JobTable alternates between a parent
-  // and a single-job mutation of it (patch in place, replay, undo), and
-  // every candidate is replayed from t=0 through the view path with start
-  // capture. Re-lowering, the replay and the start remap must all reuse
-  // warm capacity.
-  const Instance base = random_integral_instance(3, 40, 60, 6, 5);
-  JobTable table{base.view()};
-  const auto victim = static_cast<JobId>(table.size() / 2);
-  const Job job = table.job(victim);
-  const auto batch_plus = make_scheduler("batch+");
-  const PortfolioEntry entry{batch_plus.get(),
-                             batch_plus->requires_clairvoyance()};
-  PortfolioRunner runner;
-  std::vector<Time> starts;
-  const auto run_candidate = [&](int i) {
-    if (i % 2 == 0) {
-      return runner.run_span(table.view(), entry, &starts);
-    }
-    const JobTable::Undo undo = table.undo_record(victim);
-    table.set(victim, job.arrival, job.deadline + Time(Time::kTicksPerUnit),
-              job.length);
-    const Time span = runner.run_span(table.view(), entry, &starts);
-    table.restore(undo);
-    return span;
-  };
-  for (int warm = 0; warm < 4; ++warm) {
-    run_candidate(warm);
-  }
-  const AllocCounts before = alloc_counts();
-  for (int i = 0; i < 20; ++i) {
-    run_candidate(i);
-  }
-  const AllocCounts after = alloc_counts();
-  EXPECT_EQ(after.allocations - before.allocations, 0u)
-      << "miner mutate-replay steady state must not touch the heap";
-  EXPECT_EQ(starts.size(), base.size());
-}
-
-TEST(PortfolioAllocs, SimulateSpanNeverAllocatesATrace) {
-  if (!alloc_counting_enabled()) {
-    GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
-  }
-  // simulate_span runs on the calling thread's PortfolioRunner: once it is
-  // warm at the larger size, a call allocates nothing at all. A Trace
-  // sneaking back into the span path, or any per-run staging, would show
-  // up here as a nonzero count.
-  const Instance small = random_integral_instance(21, 30, 40, 5, 4);
-  const Instance large = random_integral_instance(22, 600, 900, 5, 4);
-  const auto scheduler = make_scheduler("batch+");
-  auto measure = [&](const Instance& inst) {
-    const AllocCounts before = alloc_counts();
-    (void)simulate_span(inst, *scheduler, /*clairvoyant=*/true);
-    return alloc_counts().allocations - before.allocations;
-  };
-  (void)measure(large);  // warm the thread's runner at the larger size
-  (void)measure(small);
-  EXPECT_EQ(measure(small), 0u) << "warm simulate_span allocated";
-  EXPECT_EQ(measure(large), 0u) << "warm simulate_span allocated";
-
-  // And the full-result path: recording a trace must be the ONLY extra
-  // allocation cost of record_trace=true.
-  auto measure_full = [&](bool record_trace) {
-    const auto fresh = make_scheduler("batch+");
-    const AllocCounts before = alloc_counts();
-    const SimulationResult result =
-        simulate(large, *fresh, /*clairvoyant=*/true, record_trace);
-    const std::size_t allocs = alloc_counts().allocations - before.allocations;
-    return std::make_pair(allocs, result.trace.size());
-  };
-  (void)measure_full(false);
-  (void)measure_full(true);
-  const auto [without_trace, no_entries] = measure_full(false);
-  const auto [with_trace, entries_recorded] = measure_full(true);
-  EXPECT_EQ(no_entries, 0u);
-  EXPECT_GT(entries_recorded, 0u);
-  EXPECT_LT(without_trace, with_trace)
-      << "record_trace=false must skip the trace storage entirely";
 }
 
 }  // namespace
