@@ -113,20 +113,14 @@ cmake --build build-tsan --target fjs_fuzz
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/fuzz/fjs_fuzz --smoke 2>&1 | tee -a test_output.txt
 
-# Planted-bug drill: a build with -DFJS_PLANTED_TIEBREAK_BUG=ON swaps the
-# engine's same-tick completion/arrival priority. The fuzzer MUST catch it
-# (via the independent trace validator) and shrink it to a tiny repro —
-# this proves the harness detects the class of bug it exists for.
-cmake -B build-planted -G Ninja -DFJS_PLANTED_TIEBREAK_BUG=ON > /dev/null
-cmake --build build-planted --target fjs_fuzz
-if build-planted/src/fuzz/fjs_fuzz --smoke > planted_output.txt 2>&1; then
-  echo "ERROR: planted tie-break bug was NOT caught by the fuzzer" \
-    | tee -a test_output.txt
-  exit 1
-fi
-echo "planted tie-break bug caught and shrunk, as expected:" \
-  | tee -a test_output.txt
-head -8 planted_output.txt | tee -a test_output.txt
+# Mutation corpus: each scripts/mutants/*.patch plants one bug (the
+# engine's same-tick completion/arrival order swapped, sleep sets leaking
+# out of the exact solver, its lookahead prune or optimality-gap cut
+# dropped, an inadmissible chain bound) in a temporary copy of the tree,
+# and the check the patch names must fail on it. Fails if any mutant
+# survives: the golden pins and oracles stay honest only while a mutant
+# can still break them.
+scripts/run_mutants.sh 2>&1 | tee -a test_output.txt
 
 # Trace-export smoke: one experiment with --trace, then validate the
 # Chrome-tracing JSON (chrome://tracing / ui.perfetto.dev format) and the

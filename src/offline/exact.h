@@ -29,8 +29,10 @@
 // 0.02% of nodes and cost more per node than it saved (docs/PERF.md).
 //
 // Pruning (speed only, never correctness):
-//  * admissible bound  measure(placed ∪ mandatory(remaining)) evaluated
-//    incrementally with IntervalSet::sorted_union_measure (no allocation);
+//  * admissible bound  max(measure(placed ∪ mandatory(remaining)),
+//    heaviest remaining disjointness chain + placed measure outside its
+//    window), the union merged on a scratch buffer (no allocation) and the
+//    chain memoized per remaining-job set;
 //  * dominance: a remaining job with a zero-marginal start (active interval
 //    contained in the placed union) is committed there without branching;
 //  * twin symmetry: among identical remaining jobs only the lowest id
@@ -40,8 +42,15 @@
 //    would is also a completion of the finished state. The first optimal
 //    leaf in search order is never cut, so spans and witnesses are those
 //    of the full tree;
+//  * one-ply lookahead (integral grid path only): a child whose quick
+//    bound already reaches the pruning bar is cut without recursing;
 //  * incumbent seeding: the offline heuristic's schedule primes the upper
 //    bound so the admissible bound bites from the first node.
+//
+// The integral grid path is the one optimized expansion; it is taken when
+// every time is a multiple of a common grid with few starts per window and
+// every job is shorter than 2^56 ticks. Everything else takes the plain
+// general branching.
 #pragma once
 
 #include <cstddef>
@@ -65,14 +74,6 @@ struct ExactOptions {
   /// heuristic run up front; repays it by making the admissible bound cut
   /// from the first node. Disable for micro-instances measured in isolation.
   bool seed_with_heuristic = true;
-  /// Optional caller-supplied incumbent (non-owning; must be a feasible
-  /// schedule for the instance). When the caller already holds *some*
-  /// valid schedule — an online run it just simulated, say — passing it
-  /// here primes the upper bound for free. Combines with the other seeds:
-  /// the best available incumbent wins. Never changes the returned span
-  /// (the search still proves optimality); only how much of the tree the
-  /// bound can cut. Ignored under span_only, whose callers pass seed_span.
-  const Schedule* seed_schedule = nullptr;
   /// Decision floor (zero = disabled). When the caller only needs to know
   /// whether OPT < floor — the adversarial miner asks "can this candidate's
   /// ratio beat the incumbent", i.e. "is OPT < span/threshold" — the search
@@ -108,7 +109,7 @@ struct ExactOptions {
   /// pairs, keeping the same bound/budget machinery. Disable to
   /// force the general critical-start branching everywhere (differential
   /// tests do; it is also what runs automatically when windows are wide
-  /// relative to the instance grid).
+  /// relative to the instance grid, or a job is 2^56 ticks or longer).
   bool use_integral_fast_path = true;
 };
 

@@ -34,22 +34,10 @@ std::string to_string(EventKind kind);
 /// Same-tick priority used by every event queue and merge in the engine
 /// (lower rank pops first). Kept as a single function so the heap, the
 /// staged-arrival merge, and any external replayer cannot disagree.
-///
-/// FJS_FUZZ_PLANTED_TIEBREAK_BUG deliberately swaps the
-/// completion/arrival priority — a job arriving exactly at a completion
-/// would join the CURRENT iteration, violating the half-open interval
-/// semantics. The flag exists only to validate the fuzzing harness
-/// end-to-end (the harness must catch the planted bug and shrink it);
-/// never enable it for real experiments.
+/// scripts/mutants/tiebreak.patch swaps the completion/arrival ranks (a job
+/// arriving exactly at a completion would join the current iteration); the
+/// fuzz harness must catch that (docs/FUZZING.md §6).
 constexpr int same_tick_rank(EventKind kind) {
-#ifdef FJS_FUZZ_PLANTED_TIEBREAK_BUG
-  if (kind == EventKind::kCompletion) {
-    return static_cast<int>(EventKind::kArrival);
-  }
-  if (kind == EventKind::kArrival) {
-    return static_cast<int>(EventKind::kCompletion);
-  }
-#endif
   return static_cast<int>(kind);
 }
 

@@ -1,7 +1,5 @@
 #include "sim/portfolio.h"
 
-#include <numeric>
-
 #include "support/assert.h"
 
 namespace fjs {
@@ -32,17 +30,15 @@ void PreparedInstance::prepare(InstanceView view) {
     arrivals_.assign(view.arrivals().begin(), view.arrivals().end());
     deadlines_.assign(view.deadlines().begin(), view.deadlines().end());
     lengths_.assign(view.lengths().begin(), view.lengths().end());
-    original_ids_.resize(n);
-    std::iota(original_ids_.begin(), original_ids_.end(), JobId{0});
   } else {
     // Same (arrival, id) order as Instance::ids_by_arrival(); sorting into
     // member storage keeps re-preparing allocation-free once warm.
-    view.ids_by_arrival(original_ids_);
+    view.ids_by_arrival(by_arrival_);
     const auto gather = [this](std::vector<Time>& out,
                                std::span<const Time> column) {
-      out.resize(original_ids_.size());
+      out.resize(by_arrival_.size());
       for (std::size_t k = 0; k < out.size(); ++k) {
-        out[k] = column[original_ids_[k]];
+        out[k] = column[by_arrival_[k]];
       }
     };
     gather(arrivals_, view.arrivals());

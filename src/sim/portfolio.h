@@ -42,8 +42,8 @@ struct PortfolioEntry {
 
 /// An instance lowered to the engine's replay format: arrival, deadline
 /// and length columns in the order a StaticSource release stream would
-/// have produced (engine ids in arrival order, ties by job id), plus the
-/// map back to the instance's own ids. prepare() reuses internal storage,
+/// have produced (engine ids in arrival order, ties by job id).
+/// prepare() reuses internal storage,
 /// so a PreparedInstance that cycles through many same-sized instances
 /// stops allocating. A run preloaded from it borrows the columns, so it
 /// must not be re-prepared while that run is in flight.
@@ -63,15 +63,14 @@ class PreparedInstance {
   std::span<const Time> arrivals() const { return arrivals_; }
   std::span<const Time> deadlines() const { return deadlines_; }
   std::span<const Time> lengths() const { return lengths_; }
-  /// Maps engine job id (release order) back to the prepared instance's
-  /// job id; identity when the instance was already arrival-sorted.
-  const std::vector<JobId>& original_ids() const { return original_ids_; }
 
  private:
   std::vector<Time> arrivals_;
   std::vector<Time> deadlines_;
   std::vector<Time> lengths_;
-  std::vector<JobId> original_ids_;
+  // Sort scratch for views not already in arrival order: the instance id
+  // of each engine job id.
+  std::vector<JobId> by_arrival_;
 };
 
 /// Replays fixed instances under a portfolio of schedulers. Holds the

@@ -304,7 +304,7 @@ TEST(ConformanceRegression, EveryRegisteredSchedulerPassesExtendedSuite) {
 
 // The trace validator must reject same-tick orders that violate half-open
 // semantics, independent of how the engine's queue is compiled — this is
-// what catches the planted tie-break bug build.
+// what catches scripts/mutants/tiebreak.patch.
 TEST(TraceCheckRegression, FlagsCompletionAfterArrivalAtSameTick) {
   const Instance inst = make_instance({{0, 0, 1}, {1, 1, 1}});
   Schedule schedule(inst.size());

@@ -162,14 +162,44 @@ TEST(Exact, SolvesFourteenJobsWithinDefaultBudget) {
   }
 }
 
-// Golden pin: the optimal span and an FNV-1a digest of the witness starts
-// on a fixed corpus. The witness is whichever optimal schedule the search
-// meets first, so any change to move ordering, pruning or witness recording
-// shows up here rather than as silently different E12/E14/E16 artifacts.
+/// Multiplying every time by 2^35 puts job lengths of three units and more
+/// past 2^56 ticks, where the grid's packed (marginal, start) sort key no
+/// longer fits; instances with such a job take general critical-start
+/// branching. Scaling every time by one factor scales the optimum by it.
+TEST(Exact, ScaledInstanceSolvesToScaledOptimum) {
+  constexpr std::int64_t kScale = std::int64_t{1} << 35;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const Instance inst = testing::random_integral_instance(
+        seed, /*jobs=*/8 + seed % 5, /*horizon=*/16, /*max_laxity=*/6,
+        /*max_length=*/5);
+    InstanceBuilder builder;
+    for (JobId id = 0; id < inst.size(); ++id) {
+      const Job job = inst.job(id);
+      builder.add_ticks(Time(job.arrival.ticks() * kScale),
+                        Time(job.deadline.ticks() * kScale),
+                        Time(job.length.ticks() * kScale));
+    }
+    const Instance scaled = builder.build();
+    const ExactResult result = exact_optimal(scaled);
+    ASSERT_TRUE(result.optimal()) << "seed " << seed;
+    EXPECT_EQ(result.span.ticks(), exact_optimal_span(inst).ticks() * kScale)
+        << "seed " << seed;
+    result.schedule.validate(scaled);
+    EXPECT_EQ(result.schedule.span(scaled), result.span);
+  }
+}
+
+// Golden pin: the optimal span, an FNV-1a digest of the witness starts and
+// the search-node count on a fixed corpus. The witness is whichever optimal
+// schedule the search meets first, so any change to move ordering, pruning
+// or witness recording shows up here rather than as silently different
+// E12/E14/E16 artifacts; the node count also catches a pruning or ordering
+// change that happens to keep the first optimal leaf.
 struct GoldenRow {
   std::string name;
   std::int64_t span_ticks;
   std::uint64_t digest;
+  std::size_t nodes;
 };
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
@@ -184,29 +214,32 @@ void fnv_mix(std::uint64_t& h, std::int64_t value) {
   }
 }
 
-/// Folds the span and every witness start of one solve into `h`; returns
-/// the span. Every corpus instance must solve to optimality.
-std::int64_t fold_solve(std::uint64_t& h, const Instance& instance,
-                        const ExactOptions& options) {
-  const ExactResult result = exact_optimal(instance, options);
+/// Folds the span and every witness start of one solve into `h`. Every
+/// corpus instance must solve to optimality.
+ExactResult fold_solve(std::uint64_t& h, const Instance& instance,
+                       const ExactOptions& options) {
+  ExactResult result = exact_optimal(instance, options);
   EXPECT_TRUE(result.optimal()) << instance.to_string();
   fnv_mix(h, result.span.ticks());
   for (JobId id = 0; id < instance.size(); ++id) {
     fnv_mix(h, result.schedule.start(id).ticks());
   }
-  return result.span.ticks();
+  return result;
 }
 
-/// One row per block of instances: the span column is the block's span
-/// sum, the digest folds every solve in order.
+/// One row per block of instances: the span and node columns are the
+/// block's sums, the digest folds every solve in order.
 GoldenRow fold_block(std::string name, const std::vector<Instance>& block,
                      const ExactOptions& options) {
   std::uint64_t h = kFnvOffset;
   std::int64_t span_sum = 0;
+  std::size_t node_sum = 0;
   for (const Instance& instance : block) {
-    span_sum += fold_solve(h, instance, options);
+    const ExactResult result = fold_solve(h, instance, options);
+    span_sum += result.span.ticks();
+    node_sum += result.nodes_explored;
   }
-  return GoldenRow{std::move(name), span_sum, h};
+  return GoldenRow{std::move(name), span_sum, h, node_sum};
 }
 
 std::vector<GoldenRow> compute_golden_rows() {
@@ -258,31 +291,34 @@ std::vector<GoldenRow> compute_golden_rows() {
   return rows;
 }
 
-// Recorded while the solver still had its transposition cache.
+// Spans and digests recorded while the solver still had its transposition
+// cache; node counts recorded before the grid fallback and general mode's
+// packed-key sort and fused bound merge were removed.
 const std::vector<GoldenRow> kExpected = {
-    {"integral15/uniform-lo-lax", 30000000, 0x88993d5aabee7483ULL},
-    {"integral15/uniform-hi-lax", 25000000, 0x474a2512972d0464ULL},
-    {"integral15/bimodal", 24000000, 0x0b68eaed574c898dULL},
-    {"integral15/heavy-tail", 16000000, 0x4b6d9eee90ad772dULL},
-    {"integral15/bursty", 24000000, 0xa4c279cfe5a8411fULL},
-    {"integral15/rigid", 26000000, 0x89d6c7b0e431c436ULL},
-    {"integral15/proportional-lax", 18000000, 0xdc4e28a7c2a366d0ULL},
-    {"integral15/sparse", 67000000, 0xbaa96f9542bd1d0fULL},
-    {"integral15-revisited/heavy-tail", 38000000, 0xdd08abe8918e14baULL},
-    {"integral15-revisited/proportional-lax", 37000000, 0x1a94f467741accedULL},
-    {"integral15-revisited/sparse", 144000000, 0x7eccf728ad19e6e4ULL},
-    {"random/0", 302000000, 0x1f33707d1f81dd22ULL},
-    {"random-general/0", 302000000, 0xec42765d8a6f73a2ULL},
-    {"random-unseeded/0", 302000000, 0x4e0f0ee01ead9c4aULL},
-    {"random/1", 298000000, 0x9bfca3609397b7d6ULL},
-    {"random-general/1", 298000000, 0x5e7d3e832a5ff54bULL},
-    {"random-unseeded/1", 298000000, 0x703a61fa0b6a4d46ULL},
-    {"random/2", 312000000, 0x6bc895c40479c6abULL},
-    {"random-general/2", 312000000, 0x20286ff99e819ecbULL},
-    {"random-unseeded/2", 312000000, 0xc294d9ba97fbf949ULL},
-    {"random/3", 306000000, 0xacc2688e7c19d56bULL},
-    {"random-general/3", 306000000, 0xe103948e51eab339ULL},
-    {"random-unseeded/3", 306000000, 0x2138b7b9bcfda819ULL},
+    {"integral15/uniform-lo-lax", 30000000, 0x88993d5aabee7483ULL, 3},
+    {"integral15/uniform-hi-lax", 25000000, 0x474a2512972d0464ULL, 66},
+    {"integral15/bimodal", 24000000, 0x0b68eaed574c898dULL, 21},
+    {"integral15/heavy-tail", 16000000, 0x4b6d9eee90ad772dULL, 218},
+    {"integral15/bursty", 24000000, 0xa4c279cfe5a8411fULL, 3},
+    {"integral15/rigid", 26000000, 0x89d6c7b0e431c436ULL, 3},
+    {"integral15/proportional-lax", 18000000, 0xdc4e28a7c2a366d0ULL, 2496},
+    {"integral15/sparse", 67000000, 0xbaa96f9542bd1d0fULL, 42271},
+    {"integral15-revisited/heavy-tail", 38000000, 0xdd08abe8918e14baULL, 7717},
+    {"integral15-revisited/proportional-lax", 37000000, 0x1a94f467741accedULL,
+     10783},
+    {"integral15-revisited/sparse", 144000000, 0x7eccf728ad19e6e4ULL, 67039},
+    {"random/0", 302000000, 0x1f33707d1f81dd22ULL, 835},
+    {"random-general/0", 302000000, 0xec42765d8a6f73a2ULL, 162846},
+    {"random-unseeded/0", 302000000, 0x4e0f0ee01ead9c4aULL, 1008},
+    {"random/1", 298000000, 0x9bfca3609397b7d6ULL, 777},
+    {"random-general/1", 298000000, 0x5e7d3e832a5ff54bULL, 84352},
+    {"random-unseeded/1", 298000000, 0x703a61fa0b6a4d46ULL, 886},
+    {"random/2", 312000000, 0x6bc895c40479c6abULL, 1886},
+    {"random-general/2", 312000000, 0x20286ff99e819ecbULL, 214201},
+    {"random-unseeded/2", 312000000, 0xc294d9ba97fbf949ULL, 2076},
+    {"random/3", 306000000, 0xacc2688e7c19d56bULL, 1315},
+    {"random-general/3", 306000000, 0xe103948e51eab339ULL, 114405},
+    {"random-unseeded/3", 306000000, 0x2138b7b9bcfda819ULL, 1547},
 };
 
 TEST(ExactGolden, SpansAndWitnessesMatchPinnedCorpus) {
@@ -294,6 +330,7 @@ TEST(ExactGolden, SpansAndWitnessesMatchPinnedCorpus) {
     EXPECT_EQ(rows[i].span_ticks, kExpected[i].span_ticks);
     EXPECT_EQ(rows[i].digest, kExpected[i].digest)
         << std::hex << "actual 0x" << rows[i].digest;
+    EXPECT_EQ(rows[i].nodes, kExpected[i].nodes);
   }
 }
 
