@@ -18,9 +18,10 @@
 namespace fjs {
 namespace {
 
-// Miner telemetry: totals across every mine on any thread. Evaluation and
-// memo counts are a function of the seed/options (deterministic); which
-// thread ran a mine is not, but sums don't care.
+// Miner telemetry: totals across every mine on any thread, added once when
+// a mine returns (never per candidate). Evaluation and memo counts are a
+// function of the seed/options (deterministic); which thread ran a mine is
+// not, but sums don't care. miner.evaluations counts objective calls.
 telemetry::Counter g_tm_evaluations{"miner.evaluations",
                                     telemetry::Stability::kDeterministic};
 telemetry::Counter g_tm_memo_hits{"miner.memo_hits",
@@ -146,15 +147,12 @@ class Evaluator {
     const auto [it, inserted] = memo_.try_emplace(key_, 0.0);
     if (!inserted) {
       ++memo_hits_;
-      g_tm_memo_hits.increment();
       return it->second;
     }
     if (screen_ && threshold > 0.0 && screened(view, threshold, it->second)) {
       ++screen_rejects_;
-      g_tm_screen_rejects.increment();
       return it->second;
     }
-    g_tm_evaluations.increment();
     it->second = objective_(view, threshold);
     return it->second;
   }
@@ -290,6 +288,10 @@ MinerResult mine_instance(
   result.worst_ratio = best_ratio;
   result.memo_hits = evaluator.memo_hits();
   result.screen_rejects = evaluator.screen_rejects();
+  g_tm_memo_hits.add(result.memo_hits);
+  g_tm_screen_rejects.add(result.screen_rejects);
+  g_tm_evaluations.add(result.evaluations - result.memo_hits -
+                       result.screen_rejects);
   return result;
 }
 
@@ -366,13 +368,13 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
           // Uncertifiable candidate: discard it instead of aborting the
           // whole mine — a ratio of 0 never survives selection.
           ++budget_skips;
-          g_tm_budget_skips.increment();
           return 0.0;
         }
         return time_ratio(span, opt.span);
       },
       options);
   result.budget_skips = budget_skips;
+  g_tm_budget_skips.add(budget_skips);
   return result;
 }
 

@@ -1,17 +1,17 @@
 // E9 — engineering throughput benchmarks (google-benchmark).
 //
-// Not a paper experiment: measures the simulator's and solvers' raw
-// performance so regressions in the substrate are visible — events/second
-// per scheduler, IntervalSet operations, exact-solver scaling, heuristic
-// cost, and parallel sweep speedup. The benchmarks are registered
-// dynamically so the smoke profile can run the fast regression subset
-// (the one scripts/reproduce.sh diffs against BENCH_e9.json) with a short
-// min-time. Results go to <out_dir>/benchmarks.json in google-benchmark's
-// JSON format — scripts/bench_compare.py consumes it unchanged.
+// Not a paper experiment: one benchmark family per layer that the
+// end-to-end time is made of — instance preparation, engine events/s,
+// lower bounds, exact-solver cost, miner candidates/s, thread-pool
+// scaling of a sweep and the offline heuristic. The benchmarks are
+// registered dynamically so the smoke profile can run a fast subset with
+// a short min-time. Results go to <out_dir>/benchmarks.json in
+// google-benchmark's JSON format.
 //
 // Timing numbers are only meaningful when E9 runs alone on an idle
 // machine (`fjs_experiments --only e9`); its verdicts check completion,
-// not speed — the perf gate lives in scripts/bench_compare.py.
+// not speed. Compare two revisions on one host with
+// scripts/ab_compare.py, which reads every benchmarks.json row.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -20,16 +20,12 @@
 
 #include "adversary/instance_miner.h"
 #include "analysis/sweep.h"
-#include "core/interval_set.h"
 #include "experiments/experiments_all.h"
-#include "offline/annealing.h"
 #include "offline/exact.h"
 #include "offline/heuristic.h"
 #include "offline/lower_bound.h"
 #include "schedulers/registry.h"
 #include "sim/portfolio.h"
-#include "support/rng.h"
-#include "support/telemetry.h"
 #include "support/thread_pool.h"
 #include "workload/generator.h"
 
@@ -67,49 +63,6 @@ void engine_throughput(benchmark::State& state, const std::string& key) {
   state.SetLabel("events/iteration");
 }
 
-// Lengths are chosen so the union keeps thousands of components at
-// n=10000 (~60% domain coverage): both construction paths then exercise
-// their real costs. Much longer intervals collapse the union to a single
-// component, reducing n× add() to a degenerate O(1) merge-into-back that
-// benchmarks nothing.
-std::vector<Interval> random_intervals(std::size_t n) {
-  Rng rng(7);
-  std::vector<Interval> intervals;
-  intervals.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t lo = rng.uniform_int(0, 1'000'000);
-    intervals.emplace_back(Time(lo), Time(lo + rng.uniform_int(1, 200)));
-  }
-  return intervals;
-}
-
-// Bulk sort-then-merge construction — the path hot callers (active_set,
-// sweeps) use. The per-iteration vector copy is part of the measured cost;
-// the constructor takes its input by value.
-void interval_set_add(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<Interval> intervals = random_intervals(n);
-  for (auto _ : state) {
-    IntervalSet set(intervals);
-    benchmark::DoNotOptimize(set.measure());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-
-// Legacy n× add() path, kept for comparison against the bulk build.
-void interval_set_add_incremental(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<Interval> intervals = random_intervals(n);
-  for (auto _ : state) {
-    IntervalSet set;
-    for (const auto& iv : intervals) {
-      set.add(iv);
-    }
-    benchmark::DoNotOptimize(set.measure());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-
 Instance solver_instance(std::size_t jobs) {
   WorkloadConfig config;
   config.job_count = jobs;
@@ -118,22 +71,12 @@ Instance solver_instance(std::size_t jobs) {
   return generate_workload(config, 3);
 }
 
-// Branch-and-bound solver: the extended args (12, 14) were out of reach
-// for the grid DFS, which is benchmarked separately at its feasible sizes.
+// Branch-and-bound solver scaling over integral instances of 4–14 jobs.
 void exact_solver(benchmark::State& state) {
   const Instance inst =
       solver_instance(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(exact_optimal_span(inst));
-  }
-}
-
-// Legacy grid DFS on the same instances — the "before" curve.
-void exact_solver_reference(benchmark::State& state) {
-  const Instance inst =
-      solver_instance(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact_optimal_span_reference(inst));
   }
 }
 
@@ -182,91 +125,6 @@ void prepare_view(benchmark::State& state) {
   state.SetLabel("jobs lowered/iteration");
 }
 
-// Pins the release-path access contract (docs/DATA_MODEL.md): the
-// unchecked InstanceView column reads the solver/engine hot loops use vs
-// the checked Instance::job() row lookup. The two curves document why the
-// hot loops hoist a view.
-void view_access(benchmark::State& state, bool checked) {
-  const Instance inst = bench_instance(10'000, 21);
-  const InstanceView view = inst.view();
-  std::int64_t acc = 0;
-  for (auto _ : state) {
-    if (checked) {
-      for (JobId id = 0; id < inst.size(); ++id) {
-        const Job j = inst.job(id);
-        acc += j.arrival.ticks() + j.deadline.ticks() + j.length.ticks();
-      }
-    } else {
-      for (JobId id = 0; id < view.size(); ++id) {
-        acc += view.arrival(id).ticks() + view.deadline(id).ticks() +
-               view.length(id).ticks();
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(inst.size()));
-  state.SetLabel("column reads");
-}
-
-// Annealing proposal throughput on a 2048-job instance: each proposal
-// moves one interval in the sorted list and re-measures the union in one
-// O(n) pass (undone on rejection).
-Instance anneal_instance(std::size_t n) {
-  Rng rng(5);
-  const std::int64_t unit = Time::kTicksPerUnit;
-  std::vector<Job> jobs;
-  jobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Time arrival(
-        unit * rng.uniform_int(0, 2 * static_cast<std::int64_t>(n)));
-    const Time length(unit * rng.uniform_int(1, 8));
-    const Time deadline = arrival + Time(unit * rng.uniform_int(0, 12));
-    jobs.push_back(Job{static_cast<JobId>(jobs.size()), arrival,
-                       std::max(deadline, arrival), length});
-  }
-  return Instance(std::move(jobs));
-}
-
-void anneal(benchmark::State& state) {
-  const Instance inst = anneal_instance(2'048);
-  AnnealingOptions options;
-  options.iterations = 20'000;
-  std::size_t proposals = 0;
-  for (auto _ : state) {
-    const AnnealingResult result = anneal_schedule(inst, options);
-    proposals += options.iterations;
-    benchmark::DoNotOptimize(result.span);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(proposals));
-  state.SetLabel("proposals");
-}
-
-// BM_ViewStats: the full derived-stat recompute an InstanceView pays on
-// every fresh read (min/max lengths, arrival/completion window, saturating
-// total work, both id orderings) over a 4096-job view.
-void view_stats(benchmark::State& state) {
-  const Instance inst = bench_instance(4'096, 17);
-  const InstanceView view = inst.view();
-  std::vector<JobId> order;
-  view.ids_by_arrival(order);  // warm the buffer outside the loop
-  std::int64_t acc = 0;
-  for (auto _ : state) {
-    acc += view.min_length().ticks() + view.max_length().ticks();
-    acc += view.earliest_arrival().ticks();
-    acc += view.latest_completion().ticks();
-    bool overflowed = false;
-    acc += view.total_work_saturating(&overflowed).ticks();
-    view.ids_by_arrival(order);
-    acc += order.front();
-    view.ids_by_deadline(order);
-    acc += order.back();
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(inst.size()));
-}
-
 // BM_LowerBoundBatch: the mandatory-work interval union and the
 // max-length bound over a 4096-job view. chain_lower_bound has its own
 // cost profile (the serial Pareto-front DP, docs/PERF.md) and is left out.
@@ -294,48 +152,6 @@ void heuristic(benchmark::State& state) {
   }
 }
 
-// Span-only portfolio replay: one warm PortfolioRunner cycling a mid-size
-// instance through the smoke scheduler pair. Its steady state allocates
-// nothing; the test_portfolio_allocs ctest asserts that exactly.
-void portfolio_span(benchmark::State& state) {
-  const Instance inst = bench_instance(1'000, 11);
-  const auto batch_plus = make_scheduler("batch+");
-  const auto profit = make_scheduler("profit");
-  const std::vector<PortfolioEntry> entries = {
-      PortfolioEntry{batch_plus.get(), batch_plus->requires_clairvoyance()},
-      PortfolioEntry{profit.get(), profit->requires_clairvoyance()},
-  };
-  PortfolioRunner runner;
-  std::vector<Time> spans;
-  runner.run_spans(inst, entries, spans);  // reach the warm steady state
-  std::size_t sims = 0;
-  for (auto _ : state) {
-    runner.run_spans(inst, entries, spans);
-    sims += entries.size();
-    benchmark::DoNotOptimize(spans.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(sims));
-  state.SetLabel("spans/iteration");
-}
-
-// Per-bump cost of the telemetry hot path: one relaxed fetch_add on a
-// thread-owned cell when compiled in, a no-op under -DFJS_TELEMETRY=OFF.
-// reproduce.sh runs the E9 smoke subset against both builds and warns if
-// the engine benchmarks drift by more than the 1% overhead budget; this
-// curve isolates the primitive itself.
-void telemetry_counter(benchmark::State& state) {
-  static telemetry::Counter counter{"bench.telemetry_counter",
-                                    telemetry::Stability::kTiming};
-  counter.add(0);  // pay the per-thread warm-up alloc outside the loop
-  std::uint64_t bumps = 0;
-  for (auto _ : state) {
-    counter.increment();
-    benchmark::DoNotOptimize(++bumps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(bumps));
-  state.SetLabel(telemetry::enabled() ? "telemetry ON" : "telemetry OFF");
-}
-
 void sweep_parallelism(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   WorkloadConfig config;
@@ -353,11 +169,9 @@ void sweep_parallelism(benchmark::State& state) {
   state.SetLabel(std::to_string(threads) + " threads");
 }
 
-// Registers either the fast regression subset (smoke: the benchmarks
-// reproduce.sh gates against BENCH_e9.json, short min-time) or the full
-// battery with google-benchmark's defaults. Names match the former
-// BENCHMARK()/BENCHMARK_CAPTURE() spellings so BENCH_e9.json baselines
-// keep comparing.
+// Registers either the smoke subset (engine throughput for two schedulers,
+// the lower bounds and preparation, short min-time) or all seven families
+// with google-benchmark's defaults.
 void register_benchmarks(bool smoke) {
   const double smoke_min_time = 0.05;
   const auto engine_keys =
@@ -365,7 +179,7 @@ void register_benchmarks(bool smoke) {
             : std::vector<std::string>{"eager",  "lazy",   "batch", "batch+",
                                        "cdb",    "profit", "doubler*"};
   for (const std::string& key : engine_keys) {
-    // BENCHMARK_CAPTURE named "batch_plus"/"doubler" for the awkward keys.
+    // Benchmark names spell out the keys with "+" and "*".
     std::string suffix = key == "batch+" ? "batch_plus" : key;
     if (suffix == "doubler*") {
       suffix = "doubler";
@@ -377,81 +191,30 @@ void register_benchmarks(bool smoke) {
       b->MinTime(smoke_min_time);
     }
   }
-
-  {
-    auto* b = benchmark::RegisterBenchmark("BM_IntervalSetAdd",
-                                           interval_set_add);
-    if (smoke) {
-      b->Arg(10'000)->MinTime(smoke_min_time);
-    } else {
-      b->Arg(100)->Arg(1'000)->Arg(10'000);
-    }
+  auto* bounds =
+      benchmark::RegisterBenchmark("BM_LowerBoundBatch", lower_bound_batch);
+  auto* prepare = benchmark::RegisterBenchmark("BM_PrepareView", prepare_view);
+  bounds->Unit(benchmark::kMicrosecond);
+  prepare->Unit(benchmark::kMicrosecond);
+  if (smoke) {
+    bounds->MinTime(smoke_min_time);
+    prepare->MinTime(smoke_min_time);
+    return;
   }
-  {
-    // In both profiles: the smoke run feeds reproduce.sh's bench_compare
-    // run, the full run the BENCH_e9.json baseline.
-    auto* b = benchmark::RegisterBenchmark("BM_PortfolioSpan",
-                                           portfolio_span);
-    if (smoke) {
-      b->MinTime(smoke_min_time);
-    }
-  }
-  {
-    // In both profiles: reproduce.sh's telemetry-overhead gate reads the
-    // smoke run from the default and the -DFJS_TELEMETRY=OFF builds.
-    auto* b = benchmark::RegisterBenchmark("BM_TelemetryCounter",
-                                           telemetry_counter);
-    if (smoke) {
-      b->MinTime(smoke_min_time);
-    }
-  }
-  {
-    // In both profiles: the BENCH_e9.json smoke baseline reads these two.
-    auto* stats = benchmark::RegisterBenchmark("BM_ViewStats", view_stats);
-    stats->Unit(benchmark::kMicrosecond);
-    auto* bounds =
-        benchmark::RegisterBenchmark("BM_LowerBoundBatch", lower_bound_batch);
-    bounds->Unit(benchmark::kMicrosecond);
-    if (smoke) {
-      stats->MinTime(smoke_min_time);
-      bounds->MinTime(smoke_min_time);
-    }
-  }
-  if (!smoke) {
-    benchmark::RegisterBenchmark("BM_IntervalSetAddIncremental",
-                                 interval_set_add_incremental)
-        ->Arg(100)->Arg(1'000)->Arg(10'000);
-    benchmark::RegisterBenchmark("BM_ExactSolver", exact_solver)
-        ->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12)->Arg(14)
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark("BM_ExactSolverReference",
-                                 exact_solver_reference)
-        ->Arg(4)->Arg(6)->Arg(8)->Arg(10)
-        ->Unit(benchmark::kMicrosecond);
-    // Miner/anneal curves run whole search loops per iteration, so single
-    // runs are the noisiest rows in the battery: pin 3 repetitions and
-    // report only the aggregates (bench_compare.py gates on the median).
-    benchmark::RegisterBenchmark("BM_Miner", miner)
-        ->Unit(benchmark::kMillisecond)
-        ->Repetitions(3)->ReportAggregatesOnly(true);
-    benchmark::RegisterBenchmark("BM_PrepareView", prepare_view)
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        "BM_ViewAccess/unchecked",
-        [](benchmark::State& state) { view_access(state, false); });
-    benchmark::RegisterBenchmark(
-        "BM_ViewAccess/checked",
-        [](benchmark::State& state) { view_access(state, true); });
-    benchmark::RegisterBenchmark("BM_Anneal", anneal)
-        ->Unit(benchmark::kMillisecond)
-        ->Repetitions(3)->ReportAggregatesOnly(true);
-    benchmark::RegisterBenchmark("BM_Heuristic", heuristic)
-        ->Arg(50)->Arg(150)->Arg(400)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("BM_SweepParallelism", sweep_parallelism)
-        ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-        ->Unit(benchmark::kMillisecond)->UseRealTime();
-  }
+  benchmark::RegisterBenchmark("BM_ExactSolver", exact_solver)
+      ->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12)->Arg(14)
+      ->Unit(benchmark::kMicrosecond);
+  // A miner iteration runs a whole search loop, the noisiest row in the
+  // battery: pin 3 repetitions and report only the aggregates.
+  benchmark::RegisterBenchmark("BM_Miner", miner)
+      ->Unit(benchmark::kMillisecond)
+      ->Repetitions(3)->ReportAggregatesOnly(true);
+  benchmark::RegisterBenchmark("BM_Heuristic", heuristic)
+      ->Arg(50)->Arg(150)->Arg(400)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_SweepParallelism", sweep_parallelism)
+      ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+      ->Unit(benchmark::kMillisecond)->UseRealTime();
 }
 
 class E9Experiment final : public Experiment {
@@ -461,8 +224,9 @@ class E9Experiment final : public Experiment {
     return "engineering throughput benchmarks";
   }
   std::string description() const override {
-    return "google-benchmark battery over the engine, IntervalSet, exact "
-           "solver, miner, heuristic and sweeps; JSON for bench_compare.py.";
+    return "google-benchmark battery, one family per layer: preparation, "
+           "engine, lower bounds, exact solver, miner, sweep pool scaling "
+           "and heuristic.";
   }
   std::string paper_ref() const override { return "-"; }
 
@@ -472,7 +236,8 @@ class E9Experiment final : public Experiment {
               << (ctx.smoke ? "smoke subset, min_time=0.05s"
                             : "full battery")
               << ").\nJSON results: benchmarks.json (google-benchmark"
-                 " format; gate with scripts/bench_compare.py).\n\n";
+                 " format; compare revisions with scripts/ab_compare.py)."
+                 "\n\n";
 
     benchmark::ClearRegisteredBenchmarks();
     register_benchmarks(ctx.smoke);
@@ -507,7 +272,7 @@ class E9Experiment final : public Experiment {
     const bool filtered = std::getenv("FJS_BENCH_FILTER") != nullptr;
     result.verdicts.push_back(Verdict::at_least(
         "benchmarks executed", static_cast<double>(ran),
-        filtered ? 1.0 : (ctx.smoke ? 3.0 : 10.0),
+        filtered ? 1.0 : (ctx.smoke ? 4.0 : 10.0),
         "every registered benchmark family ran to completion"));
     return result;
   }

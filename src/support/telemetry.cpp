@@ -12,8 +12,6 @@
 
 namespace fjs::telemetry {
 
-#ifdef FJS_TELEMETRY_ENABLED
-
 namespace {
 
 // Hard caps on the metric namespace. Metrics are defined statically at
@@ -333,25 +331,6 @@ std::uint64_t trace_dropped_events() {
   return registry().trace_dropped.load(std::memory_order_relaxed);
 }
 
-#else  // !FJS_TELEMETRY_ENABLED
-
-Snapshot capture() { return Snapshot{}; }
-void set_trace_enabled(bool) {}
-bool trace_enabled() noexcept { return false; }
-void reset_trace() {}
-void trace_instant(const char*, const char*) noexcept {}
-
-JsonValue trace_json() {
-  JsonValue doc = JsonValue::object();
-  doc.set("displayTimeUnit", JsonValue::string("ms"));
-  doc.set("traceEvents", JsonValue::array());
-  return doc;
-}
-
-std::uint64_t trace_dropped_events() { return 0; }
-
-#endif  // FJS_TELEMETRY_ENABLED
-
 Snapshot delta(const Snapshot& begin, const Snapshot& end) {
   Snapshot out;
   out.counters.reserve(end.counters.size());
@@ -439,7 +418,6 @@ JsonValue snapshot_json(const Snapshot& snapshot, bool deterministic_only) {
     histograms.set(hist.name, std::move(obj));
   }
   JsonValue doc = JsonValue::object();
-  doc.set("enabled", JsonValue::boolean(enabled()));
   doc.set("counters", std::move(counters));
   doc.set("histograms", std::move(histograms));
   return doc;

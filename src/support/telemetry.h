@@ -17,11 +17,9 @@
 //    runs of a deterministic workload; kTiming metrics (latencies)
 //    vary run to run and are excluded from stable artifacts like the
 //    manifest's telemetry block.
-//  * Compiles to nothing. -DFJS_TELEMETRY=OFF removes the define
-//    FJS_TELEMETRY_ENABLED and every class below becomes an empty
-//    shell whose members are constexpr no-ops; snapshots come back
-//    empty and trace export yields an empty traceEvents array. The E9
-//    overhead benchmark pins the enabled-path cost.
+//  * Always compiled in; no build turns it off. Hot loops keep plain
+//    local counts and add them to a counter once per call or run (the
+//    miner once per mine); docs/PERF.md §8 records what the layer costs.
 //
 // Usage: define metrics at namespace scope in the instrumented .cpp —
 //
@@ -51,17 +49,6 @@ enum class Stability {
 /// bit_width(v) == i, i.e. bucket 0 is {0}, bucket 1 is {1}, bucket 2 is
 /// {2,3}, and so on up to bucket 64 for values with the top bit set.
 inline constexpr std::size_t kHistogramBuckets = 65;
-
-/// True when the build compiled the telemetry layer in.
-constexpr bool enabled() noexcept {
-#ifdef FJS_TELEMETRY_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
-#ifdef FJS_TELEMETRY_ENABLED
 
 /// A named monotonic counter. Construct at namespace scope (registration
 /// takes the registry mutex); add() is wait-free on the owning thread.
@@ -124,33 +111,6 @@ class TraceScope {
   bool active_;
 };
 
-#else  // !FJS_TELEMETRY_ENABLED — every hot-path type is an empty shell.
-
-class Counter {
- public:
-  constexpr Counter(const char*, Stability) noexcept {}
-  void add(std::uint64_t) noexcept {}
-  void increment() noexcept {}
-};
-
-class Histogram {
- public:
-  constexpr Histogram(const char*, Stability) noexcept {}
-  void record(std::uint64_t) noexcept {}
-};
-
-class ScopedTimer {
- public:
-  constexpr explicit ScopedTimer(Histogram&) noexcept {}
-};
-
-class TraceScope {
- public:
-  constexpr TraceScope(const char*, const char*) noexcept {}
-};
-
-#endif  // FJS_TELEMETRY_ENABLED
-
 /// Point-in-time value of one counter.
 struct CounterValue {
   std::string name;
@@ -177,7 +137,7 @@ struct Snapshot {
 
 /// Captures a merged snapshot of all metrics. Safe to call while other
 /// threads keep incrementing (their in-flight updates land in a later
-/// snapshot). Empty when the layer is compiled out.
+/// snapshot).
 Snapshot capture();
 
 /// Per-name difference `end - begin` (metrics are monotonic; names
@@ -186,8 +146,7 @@ Snapshot capture();
 Snapshot delta(const Snapshot& begin, const Snapshot& end);
 
 /// Renders a snapshot as a JSON object:
-///   {"enabled": true,
-///    "counters": {"engine.events": 123, ...},
+///   {"counters": {"engine.events": 123, ...},
 ///    "histograms": {"engine.heap_depth": {"count":..,"sum":..,"max":..,
 ///                                         "p50":..,"p99":..}, ...}}
 /// With deterministic_only, kTiming metrics are dropped — the remaining

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "helpers.h"
@@ -16,6 +17,7 @@
 #include "sim/engine.h"
 #include "sim/portfolio.h"
 #include "support/parallel.h"
+#include "support/telemetry.h"
 #include "support/thread_pool.h"
 
 namespace fjs {
@@ -95,6 +97,44 @@ TEST(MinerDeterminism, EvaluationsCountSearchEffort) {
   EXPECT_EQ(result.evaluations,
             options.population + options.rounds * options.mutations_per_round);
   EXPECT_EQ(result.trajectory.size(), options.rounds + 1);
+}
+
+TEST(MinerTelemetry, CountersEqualResultFields) {
+  // The manifest's deterministic miner.* counters are flushed from the
+  // MinerResult fields; bracket one span/OPT mine and one view-objective
+  // mine and check the totals. miner.evaluations counts objective calls,
+  // i.e. candidates neither memoized nor screened.
+  MinerOptions worst_options = small_options();
+  worst_options.jobs = 4;
+  worst_options.max_laxity = 2;
+  worst_options.max_length = 4;
+  MinerOptions view_options = small_options();
+  view_options.screen_lb_precut = true;
+  const auto objective = [](InstanceView view, double) {
+    return 0.75 * time_ratio(view.total_work(), view.max_length());
+  };
+  const telemetry::Snapshot before = telemetry::capture();
+  const MinerResult worst = mine_worst_case("lazy", worst_options);
+  const MinerResult mined = mine_instance(objective, view_options);
+  const telemetry::Snapshot diff =
+      telemetry::delta(before, telemetry::capture());
+  const auto counter = [&diff](const std::string& name) {
+    for (const telemetry::CounterValue& value : diff.counters) {
+      if (value.name == name) return value.value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_GT(worst.memo_hits, 0u);
+  EXPECT_GT(worst.screen_rejects, 0u);
+  EXPECT_GT(mined.screen_rejects, 0u);
+  EXPECT_EQ(counter("miner.memo_hits"), worst.memo_hits + mined.memo_hits);
+  EXPECT_EQ(counter("miner.screen_rejects"),
+            worst.screen_rejects + mined.screen_rejects);
+  EXPECT_EQ(counter("miner.evaluations"),
+            worst.evaluations - worst.memo_hits - worst.screen_rejects +
+                mined.evaluations - mined.memo_hits - mined.screen_rejects);
+  EXPECT_EQ(counter("miner.budget_skips"), worst.budget_skips);
 }
 
 TEST(MinerScreen, PrecutPreservesTrajectoryAndCountsRejects) {

@@ -18,7 +18,6 @@
 #include "experiments/runner.h"
 #include "support/assert.h"
 #include "support/json.h"
-#include "support/telemetry.h"
 
 namespace fjs::experiments {
 namespace {
@@ -351,23 +350,19 @@ TEST(Runner, TraceFileIsValidChromeTracingJson) {
   const JsonValue doc = JsonValue::parse(read_file(options.trace_path));
   const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  if (telemetry::enabled()) {
-    ASSERT_GE(events->size(), 2u);  // one complete event per experiment
-    std::set<std::string> names;
-    for (std::size_t i = 0; i < events->size(); ++i) {
-      const JsonValue& event = events->at(i);
-      EXPECT_FALSE(event.get("name").as_string().empty());
-      EXPECT_FALSE(event.get("ph").as_string().empty());
-      EXPECT_GE(event.get("ts").as_number(), 0.0);
-      (void)event.get("pid").as_number();
-      (void)event.get("tid").as_number();
-      names.insert(event.get("name").as_string());
-    }
-    EXPECT_TRUE(names.count("e2"));
-    EXPECT_TRUE(names.count("e4"));
-  } else {
-    EXPECT_EQ(events->size(), 0u);  // disabled builds emit an empty doc
+  ASSERT_GE(events->size(), 2u);  // one complete event per experiment
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const JsonValue& event = events->at(i);
+    EXPECT_FALSE(event.get("name").as_string().empty());
+    EXPECT_FALSE(event.get("ph").as_string().empty());
+    EXPECT_GE(event.get("ts").as_number(), 0.0);
+    (void)event.get("pid").as_number();
+    (void)event.get("tid").as_number();
+    names.insert(event.get("name").as_string());
   }
+  EXPECT_TRUE(names.count("e2"));
+  EXPECT_TRUE(names.count("e4"));
 }
 
 // A registered experiment whose verdicts fail must fail the whole run
