@@ -22,14 +22,10 @@ namespace {
 // a mine returns (never per candidate). Evaluation and memo counts are a
 // function of the seed/options (deterministic); which thread ran a mine is
 // not, but sums don't care. miner.evaluations counts objective calls.
-telemetry::Counter g_tm_evaluations{"miner.evaluations",
-                                    telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_memo_hits{"miner.memo_hits",
-                                  telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_budget_skips{"miner.budget_skips",
-                                     telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_screen_rejects{"miner.screen_rejects",
-                                       telemetry::Stability::kDeterministic};
+telemetry::Counter g_tm_evaluations{"miner.evaluations"};
+telemetry::Counter g_tm_memo_hits{"miner.memo_hits"};
+telemetry::Counter g_tm_budget_skips{"miner.budget_skips"};
+telemetry::Counter g_tm_screen_rejects{"miner.screen_rejects"};
 
 void random_table(Rng& rng, const MinerOptions& options, JobTable& table) {
   table.clear();

@@ -306,12 +306,10 @@ JsonValue manifest_json(const RunReport& report) {
   }
   manifest.set("host", host);
 
-  // Deterministic metrics only: at --jobs 1 with a deterministic
-  // selection this block is byte-stable across repeated runs (pinned by
-  // test_experiments_registry); kTiming metrics would break that.
-  manifest.set("telemetry",
-               telemetry::snapshot_json(report.telemetry,
-                                        /*deterministic_only=*/true));
+  // Counters only: at --jobs 1 with a deterministic selection this block
+  // is byte-stable across repeated runs (pinned by
+  // test_experiments_registry); wall time lives in the trace spans.
+  manifest.set("telemetry", telemetry::snapshot_json(report.telemetry));
 
   JsonValue experiments = JsonValue::array();
   for (const auto& record : report.records) {

@@ -16,8 +16,7 @@ namespace {
 
 // Fuzz throughput: instances swept through the oracle battery. The count
 // is seed-window-determined; wall time is what varies.
-telemetry::Counter g_tm_fuzz_instances{"fuzz.instances",
-                                       telemetry::Stability::kDeterministic};
+telemetry::Counter g_tm_fuzz_instances{"fuzz.instances"};
 
 }  // namespace
 

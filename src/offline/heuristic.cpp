@@ -12,12 +12,9 @@
 namespace fjs {
 namespace {
 
-telemetry::Counter g_tm_descent_evals{"heuristic.descent_evals",
-                                      telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_descent_skips{"heuristic.descent_skips",
-                                      telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_descent_moves{"heuristic.descent_moves",
-                                      telemetry::Stability::kDeterministic};
+telemetry::Counter g_tm_descent_evals{"heuristic.descent_evals"};
+telemetry::Counter g_tm_descent_skips{"heuristic.descent_skips"};
+telemetry::Counter g_tm_descent_moves{"heuristic.descent_moves"};
 
 using Components = std::span<const Interval>;
 

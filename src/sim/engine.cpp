@@ -11,12 +11,8 @@ namespace {
 
 // Engine telemetry (docs/OBSERVABILITY.md): all deterministic — under
 // --jobs 1 they depend only on the simulated workload, not on timing.
-telemetry::Counter g_tm_events{"engine.events",
-                               telemetry::Stability::kDeterministic};
-telemetry::Counter g_tm_runs{"engine.runs",
-                             telemetry::Stability::kDeterministic};
-telemetry::Histogram g_tm_heap_depth{"engine.heap_depth",
-                                     telemetry::Stability::kDeterministic};
+telemetry::Counter g_tm_events{"engine.events"};
+telemetry::Counter g_tm_runs{"engine.runs"};
 
 }  // namespace
 
@@ -182,7 +178,6 @@ void Engine::heap_insert(const Event& event) {
   // the new event once, instead of swapping (one copy per level, not three).
   std::size_t i = heap_.size();
   heap_.push_back(event);
-  heap_high_water_ = std::max(heap_high_water_, heap_.size());
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!event_before(event, heap_[parent])) {
@@ -499,7 +494,6 @@ void Engine::drive() {
 
   g_tm_events.add(event_count_);
   g_tm_runs.increment();
-  g_tm_heap_depth.record(heap_high_water_);
 }
 
 SimulationResult Engine::run() {

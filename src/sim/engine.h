@@ -254,7 +254,6 @@ class Engine {
   SpanTracker span_;
   Trace trace_;
   std::size_t event_count_ = 0;
-  std::size_t heap_high_water_ = 0;  ///< per-run peak heap size (telemetry)
 
   detail::EngineContext context_;
 };

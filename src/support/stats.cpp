@@ -143,50 +143,4 @@ std::string Summary::to_string() const {
   return os.str();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  FJS_REQUIRE(lo < hi, "histogram: empty range");
-  FJS_REQUIRE(buckets > 0, "histogram: need at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(frac * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  FJS_REQUIRE(bucket < counts_.size(), "histogram: bucket out of range");
-  return counts_[bucket];
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  FJS_REQUIRE(bucket < counts_.size(), "histogram: bucket out of range");
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_high(std::size_t bucket) const {
-  return bucket_low(bucket) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (const std::size_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::ostringstream os;
-  os.precision(4);
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar =
-        counts_[b] * width / peak;
-    os << '[' << bucket_low(b) << ", " << bucket_high(b) << ") "
-       << std::string(bar, '#') << ' ' << counts_[b] << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace fjs

@@ -62,27 +62,4 @@ class Summary {
   mutable bool sorted_ = true;
 };
 
-/// Equal-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const;
-  std::size_t total() const { return total_; }
-  double bucket_low(std::size_t bucket) const;
-  double bucket_high(std::size_t bucket) const;
-
-  /// ASCII rendering for example/bench output.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace fjs

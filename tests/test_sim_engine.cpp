@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "adversary/nonclairvoyant_lb.h"
 #include "helpers.h"
+#include "schedulers/batch.h"
 #include "schedulers/eager.h"
 #include "schedulers/lazy.h"
 #include "support/assert.h"
+#include "support/telemetry.h"
 #include "workload/generator.h"
 
 namespace fjs {
@@ -344,6 +350,41 @@ TEST(Engine, WorkspaceReuseAcrossDifferentInstances) {
   EXPECT_EQ(simulate(small, eager, false).span(), small_span);
   EXPECT_EQ(simulate_span(small, eager, false), small_span);
   EXPECT_EQ(simulate_span(large, eager, false), large_span);
+}
+
+TEST(EngineTelemetry, CountersEqualRunFields) {
+  // engine.events and engine.runs are added once per drive from the
+  // engine's own event count; bracket one static replay and one adaptive
+  // adversary run and check the totals against the results.
+  const Instance inst = sim_workload(50, 2.0, 5);
+  EagerScheduler eager;
+  NonClairvoyantLbParams params;
+  params.mu = 4.0;
+  params.iterations = 3;
+  params.counts = {256, 16, 4};
+  params.alpha = 6.0;
+  NonClairvoyantAdversary adversary(params);
+  BatchScheduler batch;
+
+  const telemetry::Snapshot before = telemetry::capture();
+  const SimulationResult replay = simulate(inst, eager, false);
+  Engine engine(adversary, adversary, batch,
+                EngineOptions{.clairvoyant = false});
+  const SimulationResult adaptive = engine.run();
+  const telemetry::Snapshot diff =
+      telemetry::delta(before, telemetry::capture());
+  const auto counter = [&diff](const std::string& name) {
+    for (const telemetry::CounterValue& value : diff.counters) {
+      if (value.name == name) return value.value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_GT(replay.event_count, 0u);
+  EXPECT_GT(adaptive.event_count, 0u);
+  EXPECT_EQ(counter("engine.events"),
+            replay.event_count + adaptive.event_count);
+  EXPECT_EQ(counter("engine.runs"), 2u);
 }
 
 }  // namespace

@@ -109,40 +109,5 @@ TEST(Summary, ToStringEmpty) {
   EXPECT_EQ(s.to_string(), "n=0");
 }
 
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.9);   // bucket 4
-  h.add(-3.0);  // clamps to bucket 0
-  h.add(42.0);  // clamps to bucket 4
-  h.add(5.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-}
-
-TEST(Histogram, BucketEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(4), 10.0);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  h.add(0.75);
-  h.add(0.8);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), AssertionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), AssertionError);
-}
-
 }  // namespace
 }  // namespace fjs
