@@ -16,7 +16,9 @@ perfbench: runs `python3 perfbench/run.py --workload WORKLOAD --seed i
 --seconds S --trace 0` in each tree, with pair i on seed i for both sides
 and a separate CARGO_TARGET_DIR per tree. S is BENCHMARK.json's
 run_seconds. The report covers perfbench's end-to-end metrics. A run with
-correct=false or failed>0 is flagged and the script exits 1.
+correct=false or failed>0 is flagged and the script exits 1. So does a
+pair whose two runs print different provenance digests: both sides ran
+the same seed, so their workload outputs must hash alike.
 
 experiments: runs fjs_experiments with ARGS plus --out and --run-id, which
 the script supplies. The report covers whole-process wall time, each
@@ -86,6 +88,28 @@ def perfbench_metrics(stdout):
     return metrics, flag
 
 
+def perfbench_digest(stdout):
+    """The provenance line's output digest, or None when there is none."""
+    for line in stdout.splitlines():
+        if line.startswith("provenance "):
+            try:
+                return json.loads(line[len("provenance "):]).get("digest")
+            except ValueError:
+                return None
+    return None
+
+
+def digest_differences(digests):
+    """One line per seed whose base and change digests differ.
+
+    `digests` maps side -> {seed: digest}."""
+    base, change = digests.get("base", {}), digests.get("change", {})
+    return [f"seed {seed}: base digest {base[seed]}, change digest "
+            f"{change[seed]}"
+            for seed in sorted(set(base) & set(change))
+            if base[seed] != change[seed]]
+
+
 def e9_metrics(path):
     """items/s per benchmark row, or its time when it counts no items."""
     with open(path, encoding="utf-8") as fh:
@@ -120,6 +144,7 @@ class Perfbench:
             with open(bench, encoding="utf-8") as fh:
                 seconds = json.load(fh).get("run_seconds", seconds)
         self.seconds = str(seconds)
+        self.digests = {}
 
     def _run(self, side, tree, seed, seconds, size):
         env = dict(os.environ,
@@ -140,7 +165,13 @@ class Perfbench:
         metrics, flag = perfbench_metrics(done.stdout)
         if done.returncode != 0:
             flag = f"exit {done.returncode}: {done.stderr[-500:]}"
+        self.digests.setdefault(side, {})[pair] = perfbench_digest(
+            done.stdout)
         return metrics, flag
+
+    def differences(self):
+        """Seeds on which the two sides' output digests differ."""
+        return digest_differences(self.digests)
 
 
 class Experiments:
@@ -263,7 +294,7 @@ def main():
                 else Experiments(rest, tmp))
         sides = [("base", worktree), ("change", ROOT)]
         rows, flags = compare(mode, sides, args.pairs)
-        diffs = mode.differences() if args.mode == "experiments" else []
+        diffs = mode.differences()
     finally:
         subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
                         worktree], stderr=subprocess.DEVNULL)
@@ -280,8 +311,10 @@ def main():
         print("FLAGGED " + flag)
     for rel in diffs:
         print("DIFFERS " + rel)
-    if args.mode == "experiments" and not diffs:
-        print("first pair: verdicts.json and every CSV byte-identical")
+    if not diffs:
+        print("first pair: verdicts.json and every CSV byte-identical"
+              if args.mode == "experiments"
+              else "every pair: the two sides' digests are identical")
     return 1 if flags or diffs else 0
 
 

@@ -73,6 +73,27 @@ class ParseTest(unittest.TestCase):
         _, flag = ab_compare.perfbench_metrics("")
         self.assertEqual(flag, "no result line")
 
+    def test_perfbench_digest_from_provenance(self):
+        stdout = ('provenance {"workload": "certify", "seed": 3, '
+                  '"digest": "2e2b09d8dcc67fdf"}\n{"correct": true}\n')
+        self.assertEqual(ab_compare.perfbench_digest(stdout),
+                         "2e2b09d8dcc67fdf")
+        self.assertIsNone(ab_compare.perfbench_digest('{"correct": true}'))
+
+    def test_digest_difference_names_seed_and_both_digests(self):
+        digests = {"base": {1: "aaaa", 2: "bbbb"},
+                   "change": {1: "aaaa", 2: "cccc"}}
+        self.assertEqual(ab_compare.digest_differences(digests),
+                         ["seed 2: base digest bbbb, change digest cccc"])
+        digests["change"][2] = "bbbb"
+        self.assertEqual(ab_compare.digest_differences(digests), [])
+
+    def test_perfbench_mode_reports_digest_differences(self):
+        mode = ab_compare.Perfbench("certify", tempfile.gettempdir())
+        mode.digests = {"base": {1: "aaaa"}, "change": {1: "abab"}}
+        self.assertEqual(mode.differences(),
+                         ["seed 1: base digest aaaa, change digest abab"])
+
     def test_e9_rows_prefer_items_and_median_aggregates(self):
         doc = {"benchmarks": [
             {"name": "BM_A", "run_type": "iteration",

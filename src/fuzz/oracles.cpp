@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -359,6 +360,67 @@ Oracle exact_vs_reference_oracle(const OracleOptions& options) {
       }};
 }
 
+/// OPT is additive over window components: jobs whose feasible windows
+/// [a, d+p) are disjoint never overlap. The instance is split here with
+/// code of its own — a sort by arrival and a running reach of d+p, a job
+/// arriving at or after the reach starting a new component — and every
+/// component is solved as an Instance of its own. The sum of those optima
+/// must equal the whole instance's optimum, whose witness must be valid and
+/// achieve it.
+Oracle exact_additive_oracle(const OracleOptions& options) {
+  return Oracle{
+      "exact-additive",
+      [options](const Instance& instance) -> std::optional<std::string> {
+        if (!offline_in_scope(instance, options, options.exact_max_jobs)) {
+          return std::nullopt;
+        }
+        ExactOptions exact_options;
+        exact_options.max_nodes = options.exact_max_nodes;
+        const ExactResult whole = exact_optimal(instance, exact_options);
+        if (!whole.optimal()) {
+          return std::nullopt;  // out of budget: no exactness claim
+        }
+        if (!whole.schedule.is_valid(instance)) {
+          return std::string("exact witness is invalid");
+        }
+        if (whole.schedule.span(instance) != whole.span) {
+          return "exact witness spans " +
+                 whole.schedule.span(instance).to_string() + ", not OPT " +
+                 whole.span.to_string();
+        }
+        std::vector<JobId> order(instance.size());
+        std::iota(order.begin(), order.end(), JobId{0});
+        std::stable_sort(order.begin(), order.end(), [&](JobId x, JobId y) {
+          return instance.job(x).arrival < instance.job(y).arrival;
+        });
+        Time sum = Time::zero();
+        std::size_t components = 0;
+        for (std::size_t i = 0; i < order.size(); ++components) {
+          InstanceBuilder part;
+          Time reach = instance.job(order[i]).arrival;
+          do {
+            const Job job = instance.job(order[i]);
+            part.add_ticks(job.arrival, job.deadline, job.length);
+            reach = std::max(reach, job.deadline + job.length);
+            ++i;
+          } while (i < order.size() &&
+                   instance.job(order[i]).arrival < reach);
+          const Instance component = part.build();
+          const ExactResult r = exact_optimal(component, exact_options);
+          if (!r.optimal()) {
+            return std::nullopt;
+          }
+          sum += r.span;
+        }
+        if (sum != whole.span) {
+          return "the optima of " + std::to_string(components) +
+                 " window components sum to " + sum.to_string() +
+                 ", but the whole instance's OPT is " + whole.span.to_string();
+        }
+        return std::nullopt;
+      }};
+}
+
 /// The columnar substrate's equivalence claim: reading jobs through a
 /// non-owning InstanceView over an independently rebuilt JobTable scratch
 /// buffer (the miner's mutate-evaluate path) must be observably identical
@@ -550,6 +612,7 @@ std::vector<Oracle> standard_oracles(const OracleOptions& options) {
     oracles.push_back(ratio_bounds_oracle());
     oracles.push_back(offline_sandwich_oracle(options));
     oracles.push_back(exact_vs_reference_oracle(options));
+    oracles.push_back(exact_additive_oracle(options));
   }
   // Always on — no gate, no size cap, no horizon cap: every other oracle
   // reads the instance through this substrate.

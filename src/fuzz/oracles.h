@@ -19,6 +19,10 @@
 //    LB <= OPT <= heuristic/annealing, and online spans >= OPT.
 //  * exact-vs-reference — on integral instances the branch-and-bound and
 //    the legacy grid DFS agree exactly.
+//  * exact-additive — the instance's window components, split by the
+//    oracle's own code and solved as instances of their own, have optima
+//    that sum to the whole instance's optimum, and the whole witness is
+//    valid and achieves it.
 //  * view-vs-owned — always on, never size- or horizon-capped: an
 //    InstanceView over an independently rebuilt JobTable scratch buffer
 //    (the miner's mutate-evaluate path) is observably identical to the

@@ -21,6 +21,18 @@
 //    jobs' mandatory regions into one scratch buffer — no IntervalSet
 //    materialization per node — and maxes it with the memoized chain
 //    bound.
+//  * A witness search solves each window component on its own. Jobs whose
+//    feasible windows [a, d+p) are disjoint never overlap, so OPT is the
+//    sum of the components' optima. Each component is one solve() on its
+//    job mask, on the same warm Search with the instance-wide grid, fixed
+//    order, mandatory regions and chain memo, and one shared node budget.
+//    Its bar is the seed's measure inside the component's windows. The
+//    witness is the whole-instance search's: the seed when no component
+//    beats its share, else the first optimal leaf in DFS order. A job's
+//    moves and their order depend only on the placed intervals of its own
+//    component, so that leaf is every component's first optimal leaf put
+//    together (see solve_components()). The miner's span-only and
+//    decision-floor searches keep one whole-instance solve.
 //  * Budget exhaustion is a structured result (best-so-far incumbent), not
 //    an assertion: miners and sweeps decide how to handle it.
 #include "offline/exact.h"
@@ -130,6 +142,13 @@ struct Move {
   JobId job;
   Time start;
   Time marginal;
+};
+
+/// Jobs whose feasible windows [a, d+p) chain into one overlapping run,
+/// and the hull of those windows.
+struct WindowComponent {
+  Mask jobs;
+  Interval window;
 };
 
 struct Outcome {
@@ -421,6 +440,33 @@ class Search {
       best_exact = false;
     }
     return Outcome{best, best_exact};
+  }
+
+  /// Restarts the bar for a solve of one window component: the incumbent
+  /// becomes `bar` and the recorded best terminal is forgotten. The node
+  /// count, budget, grid, fixed order, mandatory regions and chain memo
+  /// carry over, since every one of them is instance-wide.
+  void rebar(Time bar) {
+    incumbent_ = bar;
+    best_sched_span_ = Time::max();
+  }
+
+  /// Writes the instance's window components to `out`, in arrival order. A
+  /// job arriving at or after the running reach of d+p starts a new
+  /// component: half-open windows that only abut share no instant, so
+  /// their jobs never overlap.
+  void window_components(std::vector<WindowComponent>& out) const {
+    out.clear();
+    for (const JobId j : by_arrival_) {
+      const Time arrival = view_.arrival(j);
+      const Time reach = view_.deadline(j) + view_.length(j);
+      if (out.empty() || arrival >= out.back().window.hi) {
+        out.push_back(WindowComponent{0, Interval(arrival, reach)});
+      }
+      WindowComponent& c = out.back();
+      c.jobs |= bit(j);
+      c.window.hi = std::max(c.window.hi, reach);
+    }
   }
 
   Time best_sched_span() const { return best_sched_span_; }
@@ -715,6 +761,88 @@ ExactResult finish(InstanceView view, Time span, Schedule schedule,
   return result;
 }
 
+/// Witness-mode search of an instance with several window components (see
+/// the top of the file). The first pass solves each component against its
+/// share of the seed's measure. If no component beats its share, the seed
+/// is optimal and is the result, as in the whole-instance search.
+/// Otherwise the result is the concatenation of the components' first
+/// optimal leaves, and a component whose share held recorded no leaf below
+/// its bar, so a second pass solves it again one tick above the bar.
+ExactResult solve_components(Search& search, InstanceView view,
+                             Schedule seed_schedule, Time seed_span,
+                             const std::vector<WindowComponent>& components) {
+  const IntervalSet seed_union = seed_schedule.active_set(view);
+  std::vector<Time> starts(view.size());
+  for (JobId j = 0; j < view.size(); ++j) {
+    starts[j] = seed_schedule.start(j);
+  }
+  // Copies the component's jobs from the search's best terminal.
+  const auto take_best = [&](const WindowComponent& c) {
+    for (Mask rest = c.jobs; rest != 0; rest &= rest - 1) {
+      const auto j = static_cast<JobId>(std::countr_zero(rest));
+      starts[j] = search.best_starts()[j];
+    }
+  };
+  // Best-so-far: every component solved so far keeps its result, the
+  // aborted one its best terminal if that beats its seed share, and the
+  // rest their seed placement.
+  const auto best_so_far = [&](const WindowComponent& c, Time seed) {
+    if (search.best_sched_span() < seed) {
+      take_best(c);
+    }
+    Schedule schedule = schedule_from_starts(view, starts);
+    const Time span = schedule.span(view);
+    return finish(view, span, std::move(schedule),
+                  ExactStatus::kBudgetExceeded, search.nodes());
+  };
+
+  std::vector<Time> seeds(components.size());
+  std::vector<bool> held(components.size());
+  Time span = Time::zero();
+  bool any_beaten = false;
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    const WindowComponent& c = components[i];
+    seeds[i] = seed_union.measure_within(c.window);
+    search.rebar(seeds[i]);
+    const Outcome o = search.solve(c.jobs, Components{}, seeds[i], 0);
+    if (search.aborted()) {
+      return best_so_far(c, seeds[i]);
+    }
+    held[i] = !o.exact || o.value >= seeds[i];
+    if (held[i]) {
+      span += seeds[i];
+    } else {
+      FJS_CHECK(search.best_sched_span() == o.value,
+                "exact: optimum without a recorded witness");
+      span += o.value;
+      take_best(c);
+      any_beaten = true;
+    }
+  }
+  if (!any_beaten) {
+    return finish(view, seed_span, std::move(seed_schedule),
+                  ExactStatus::kOptimal, search.nodes());
+  }
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    if (!held[i]) {
+      continue;
+    }
+    const WindowComponent& c = components[i];
+    const Time bar = seeds[i] + Time(1);
+    search.rebar(bar);
+    const Outcome o = search.solve(c.jobs, Components{}, bar, 0);
+    if (search.aborted()) {
+      return best_so_far(c, seeds[i]);
+    }
+    FJS_CHECK(o.exact && o.value == seeds[i] &&
+                  search.best_sched_span() == seeds[i],
+              "exact: component re-solve missed its seed's optimum");
+    take_best(c);
+  }
+  return finish(view, span, schedule_from_starts(view, starts),
+                ExactStatus::kOptimal, search.nodes());
+}
+
 /// Runs the search from the seed incumbent and turns the outcome
 /// into a result (with a witness schedule unless span_only).
 ExactResult run_search(InstanceView view, Schedule seed_schedule,
@@ -734,6 +862,19 @@ ExactResult run_search(InstanceView view, Schedule seed_schedule,
   // block's total size (docs/PERF.md §3 has the measurement).
   alignas(64) thread_local Search search;
   search.init(view, options, seed_span);
+  // A witness search splits into window components. The decision floor
+  // and span-only searches (the miner's certification) keep one
+  // whole-instance call: their instances rarely split. The components live
+  // outside the thread_local Search so its size, and the cache-line offsets
+  // of the thread_locals after it, stay as they were (docs/PERF.md §11).
+  if (!options.span_only && !floor_active) {
+    std::vector<WindowComponent> components;
+    search.window_components(components);
+    if (components.size() > 1) {
+      return solve_components(search, view, std::move(seed_schedule),
+                              seed_span, components);
+    }
+  }
   const Outcome o = search.solve(
       full, Components{}, floor_active ? options.decision_floor : seed_span,
       0);

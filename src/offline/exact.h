@@ -45,7 +45,19 @@
 //  * one-ply lookahead (integral grid path only): a child whose quick
 //    bound already reaches the pruning bar is cut without recursing;
 //  * incumbent seeding: the offline heuristic's schedule primes the upper
-//    bound so the admissible bound bites from the first node.
+//    bound so the admissible bound bites from the first node;
+//  * window components (witness searches): jobs whose feasible windows
+//    [a, d+p) are disjoint never overlap, so OPT is the sum of the optima
+//    of the instance's window components, and each component is searched
+//    on its own against its share of the seed's measure instead of
+//    multiplying independent subtrees. The witness is unchanged: the seed
+//    when no component beats its share, else the whole search's first
+//    optimal leaf in DFS order. A job's moves and their order depend only
+//    on its own component's placed intervals, so that leaf is every
+//    component's first optimal leaf put together; a component whose seed
+//    share is already optimal is searched again one tick above it to find
+//    its first optimal leaf. The miner's span-only and decision-floor
+//    searches keep one whole-instance search.
 //
 // The integral grid path is the one optimized expansion; it is taken when
 // every time is a multiple of a common grid with few starts per window and
@@ -65,7 +77,8 @@ struct ExactOptions {
   /// the branch-and-bound ignores it. The reference requires
   /// Instance::is_multiple_of(quantum).
   Time quantum = Time(Time::kTicksPerUnit);
-  /// Search-node budget. The branch-and-bound returns a structured
+  /// Search-node budget, shared by the solves of an instance's window
+  /// components. The branch-and-bound returns a structured
   /// ExactStatus::kBudgetExceeded result (best-so-far incumbent) when
   /// exhausted; the reference solver throws AssertionError. Kept as a node
   /// count rather than wall-clock so results stay machine-independent.
@@ -126,6 +139,7 @@ struct ExactResult {
   /// Witness schedule achieving `span`; empty (size 0) under
   /// ExactOptions::span_only.
   Schedule schedule;
+  /// Search nodes, summed over the window components' solves.
   std::size_t nodes_explored = 0;
   ExactStatus status = ExactStatus::kOptimal;
   /// Always 0: the solver's transposition cache was removed. Kept so
@@ -148,9 +162,8 @@ ExactResult exact_optimal(InstanceView view, ExactOptions options = {});
 Time exact_optimal_span(InstanceView view, ExactOptions options = {});
 
 /// Legacy grid DFS, kept verbatim as the differential-testing oracle for
-/// the branch-and-bound (and as the "before" body in the E9 solver
-/// benchmarks). Requires the instance on the `options.quantum` grid and
-/// throws AssertionError when the node budget is exhausted.
+/// the branch-and-bound. Requires the instance on the `options.quantum`
+/// grid and throws AssertionError when the node budget is exhausted.
 ExactResult exact_optimal_reference(const Instance& instance,
                                     ExactOptions options = {});
 

@@ -1,7 +1,7 @@
 // Legacy exhaustive grid DFS — the original exact solver, kept as the
-// differential-testing oracle for the branch-and-bound in exact.cpp and as
-// the baseline body of the E9 solver benchmarks. Deliberately unchanged in
-// structure: its value is that it is slow, simple, and easy to audit.
+// differential-testing oracle for the branch-and-bound in exact.cpp.
+// Deliberately unchanged in structure: its value is that it is slow,
+// simple, and easy to audit.
 #include "offline/exact.h"
 
 #include <algorithm>

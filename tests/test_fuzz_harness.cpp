@@ -107,11 +107,12 @@ TEST(FuzzGenerator, EveryInstanceValidAndEdgeCasesCovered) {
 TEST(FuzzOracles, StandardBatteryNamesAndCleanCorpus) {
   const std::vector<Oracle> oracles = standard_oracles();
   const std::size_t n_schedulers = scheduler_registry().size();
-  ASSERT_EQ(oracles.size(), n_schedulers + 4);
+  ASSERT_EQ(oracles.size(), n_schedulers + 5);
   EXPECT_EQ(oracles.front().name, "sched:eager");
-  EXPECT_EQ(oracles[oracles.size() - 4].name, "ratio-bounds");
-  EXPECT_EQ(oracles[oracles.size() - 3].name, "offline-sandwich");
-  EXPECT_EQ(oracles[oracles.size() - 2].name, "exact-vs-reference");
+  EXPECT_EQ(oracles[oracles.size() - 5].name, "ratio-bounds");
+  EXPECT_EQ(oracles[oracles.size() - 4].name, "offline-sandwich");
+  EXPECT_EQ(oracles[oracles.size() - 3].name, "exact-vs-reference");
+  EXPECT_EQ(oracles[oracles.size() - 2].name, "exact-additive");
   EXPECT_EQ(oracles.back().name, "view-vs-owned");
 
   const FuzzGenConfig config;
