@@ -21,10 +21,11 @@ pair whose two runs print different provenance digests: both sides ran
 the same seed, so their workload outputs must hash alike.
 
 experiments: runs fjs_experiments with ARGS plus --out and --run-id, which
-the script supplies. The report covers whole-process wall time, each
-experiment's manifest wall_ms and every e9/benchmarks.json row when E9
-ran. On the first pair, verdicts.json and every CSV must be byte-identical
-between the sides, else the script exits 1 (so does a failing run).
+the script supplies. The report covers whole-process wall time and CPU
+time (the child's user+sys, from getrusage), each experiment's manifest
+wall_ms and every e9/benchmarks.json row when E9 ran. On the first pair,
+verdicts.json and every CSV must be byte-identical between the sides,
+else the script exits 1 (so does a failing run).
 
 The worktree and all builds and outputs are removed on exit.
 """
@@ -35,6 +36,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -134,6 +136,20 @@ def run(cmd, cwd, env=None, stdout=subprocess.DEVNULL):
                           stderr=subprocess.PIPE, text=True)
 
 
+def timed_run(cmd, cwd):
+    """(result, wall ms, CPU ms) of one child run. The CPU time is the
+    user+sys delta of RUSAGE_CHILDREN, which counts every thread of the
+    child once it has been waited for."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.monotonic()
+    done = run(cmd, cwd)
+    wall_ms = 1e3 * (time.monotonic() - start)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_ms = 1e3 * (after.ru_utime - before.ru_utime +
+                    after.ru_stime - before.ru_stime)
+    return done, wall_ms, cpu_ms
+
+
 class Perfbench:
     def __init__(self, workload, tmp):
         self.workload = workload
@@ -200,11 +216,11 @@ class Experiments:
     def measure(self, side, tree, pair):
         out = os.path.join(self.tmp, side + "-runs")
         run_dir = os.path.join(out, f"pair{pair}")
-        start = time.monotonic()
-        done = run([self._binary(side)] + self.args +
-                   ["--out", out, "--run-id", f"pair{pair}"], tree)
-        metrics = {"process.wall_ms":
-                   ("ms", 1e3 * (time.monotonic() - start))}
+        done, wall_ms, cpu_ms = timed_run(
+            [self._binary(side)] + self.args +
+            ["--out", out, "--run-id", f"pair{pair}"], tree)
+        metrics = {"process.wall_ms": ("ms", wall_ms),
+                   "process.cpu_ms": ("ms", cpu_ms)}
         flag = None if done.returncode == 0 else (
             f"exit {done.returncode}: {done.stderr[-500:]}")
         manifest = os.path.join(run_dir, "manifest.json")

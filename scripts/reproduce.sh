@@ -114,11 +114,11 @@ TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   build-tsan/src/fuzz/fjs_fuzz --smoke 2>&1 | tee -a test_output.txt
 
 # Mutation corpus: each scripts/mutants/*.patch plants one bug (in the
-# engine's event order and replay, the exact solver's pruning, the offline
-# heuristic, annealing and instance preparation) in a temporary copy of
-# the tree, and the check the patch names must fail on it. Fails if any
-# mutant survives: the golden pins and oracles stay honest only while a
-# mutant can still break them.
+# engine's event order and replay, the exact solver's pruning and
+# component split, the offline heuristic and instance preparation) in a
+# temporary copy of the tree, and the check the patch names must fail on
+# it. Fails if any mutant survives: the golden pins and oracles stay
+# honest only while a mutant can still break them.
 scripts/run_mutants.sh 2>&1 | tee -a test_output.txt
 
 # Trace-export smoke: one experiment with --trace, then validate the

@@ -5,6 +5,7 @@
 import importlib.util
 import json
 import os
+import sys
 import tempfile
 import unittest
 
@@ -115,6 +116,29 @@ class ParseTest(unittest.TestCase):
         self.assertEqual(metrics, {"e9:BM_A": ("1/s", 9.0),
                                    "e9:BM_B/4": ("us", 2.5),
                                    "e9:BM_C": ("1/s", 4.0)})
+
+
+
+class TimedRunTest(unittest.TestCase):
+    """process.cpu_ms is the child's CPU time, not its wall time."""
+
+    def _timed(self, code):
+        done, wall_ms, cpu_ms = ab_compare.timed_run(
+            [sys.executable, "-c", code], os.getcwd())
+        self.assertEqual(done.returncode, 0, done.stderr)
+        return wall_ms, cpu_ms
+
+    def test_busy_child_cpu_is_counted(self):
+        _, cpu_ms = self._timed(
+            "import time\n"
+            "while time.process_time() < 0.2:\n"
+            "    pass\n")
+        self.assertGreaterEqual(cpu_ms, 190)
+
+    def test_sleeping_child_uses_little_cpu(self):
+        wall_ms, cpu_ms = self._timed("import time; time.sleep(0.3)")
+        self.assertGreaterEqual(wall_ms, 300)
+        self.assertLess(cpu_ms, wall_ms - 200)
 
 
 if __name__ == "__main__":

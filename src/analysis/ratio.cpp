@@ -1,8 +1,5 @@
 #include "analysis/ratio.h"
 
-#include <algorithm>
-
-#include "offline/annealing.h"
 #include "offline/heuristic.h"
 #include "offline/lower_bound.h"
 #include "schedulers/registry.h"
@@ -13,8 +10,7 @@ namespace fjs {
 
 RatioBracket measure_ratio(const Instance& instance,
                            OnlineScheduler& scheduler, bool clairvoyant,
-                           OptMethod method, ExactOptions exact_options,
-                           std::size_t bracket_anneal_iterations) {
+                           OptMethod method, ExactOptions exact_options) {
   FJS_REQUIRE(!instance.empty(), "measure_ratio: empty instance");
   RatioBracket bracket;
   bracket.online_span = simulate_span(instance, scheduler, clairvoyant);
@@ -24,14 +20,6 @@ RatioBracket measure_ratio(const Instance& instance,
     bracket.opt_lower = opt;
   } else {
     bracket.opt_upper = heuristic_span(instance);
-    if (bracket_anneal_iterations > 0) {
-      // A second, independent feasible-schedule construction; the min is
-      // still an upper bound on OPT and tightens the bracket (bench E12).
-      AnnealingOptions anneal_opts;
-      anneal_opts.iterations = bracket_anneal_iterations;
-      bracket.opt_upper = std::min(
-          bracket.opt_upper, anneal_schedule(instance, anneal_opts).span);
-    }
     bracket.opt_lower = best_lower_bound(instance);
     FJS_CHECK(bracket.opt_lower <= bracket.opt_upper,
               "measure_ratio: lower bound exceeds heuristic span");
@@ -41,12 +29,11 @@ RatioBracket measure_ratio(const Instance& instance,
 
 RatioBracket measure_ratio(const Instance& instance,
                            const std::string& scheduler_key, OptMethod method,
-                           ExactOptions exact_options,
-                           std::size_t bracket_anneal_iterations) {
+                           ExactOptions exact_options) {
   const auto scheduler = make_scheduler(scheduler_key);
   return measure_ratio(instance, *scheduler,
                        scheduler->requires_clairvoyance(), method,
-                       exact_options, bracket_anneal_iterations);
+                       exact_options);
 }
 
 }  // namespace fjs

@@ -34,20 +34,16 @@ enum class OptMethod {
   kBracket,  ///< heuristic upper bound + certified lower bound
 };
 
-/// Runs the scheduler on the instance and compares with OPT.
-/// `bracket_anneal_iterations` folds a simulated anneal into the bracket's
-/// OPT upper bound (min with the heuristic); off by default — matching
-/// SweepOptions — because on the standard suite the heuristic never lost
-/// to the anneal and the anneal dominated bracket cost.
+/// Runs the scheduler on the instance and compares with OPT. The bracket's
+/// OPT upper bound is the alignment heuristic's span; its lower bound is
+/// `best_lower_bound`.
 RatioBracket measure_ratio(const Instance& instance,
                            OnlineScheduler& scheduler, bool clairvoyant,
-                           OptMethod method, ExactOptions exact_options = {},
-                           std::size_t bracket_anneal_iterations = 0);
+                           OptMethod method, ExactOptions exact_options = {});
 
 /// Registry-key convenience (clairvoyance inferred from the spec).
 RatioBracket measure_ratio(const Instance& instance,
                            const std::string& scheduler_key, OptMethod method,
-                           ExactOptions exact_options = {},
-                           std::size_t bracket_anneal_iterations = 0);
+                           ExactOptions exact_options = {});
 
 }  // namespace fjs

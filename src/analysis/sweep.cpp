@@ -4,7 +4,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "offline/annealing.h"
 #include "offline/heuristic.h"
 #include "offline/lower_bound.h"
 #include "schedulers/registry.h"
@@ -26,13 +25,8 @@ OptBounds opt_bounds_for(const Instance& instance, const SweepOptions& opts) {
     const Time opt = exact_optimal_span(instance, opts.exact_options);
     return OptBounds{opt, opt};
   }
-  Time upper = heuristic_span(instance, opts.heuristic_options);
-  if (opts.bracket_anneal_iterations > 0) {
-    AnnealingOptions anneal_opts;
-    anneal_opts.iterations = opts.bracket_anneal_iterations;
-    upper = std::min(upper, anneal_schedule(instance, anneal_opts).span);
-  }
-  return OptBounds{upper, best_lower_bound(instance)};
+  return OptBounds{heuristic_span(instance, opts.heuristic_options),
+                   best_lower_bound(instance)};
 }
 
 }  // namespace
@@ -56,9 +50,9 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
   };
 
   // Phase 1: per-case OPT bounds (the expensive part), computed once.
-  // Case costs are uneven (annealing/heuristic effort varies with the
-  // instance), so workers pull cases dynamically instead of being handed
-  // fixed chunks; slot-indexed writes keep the result deterministic.
+  // Case costs are uneven (heuristic effort varies with the instance), so
+  // workers pull cases dynamically instead of being handed fixed chunks;
+  // slot-indexed writes keep the result deterministic.
   std::vector<OptBounds> bounds(cases.size());
   auto compute_bounds = [&](std::size_t i) {
     bounds[i] = opt_bounds_for(cases[i].instance, options);

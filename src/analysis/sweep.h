@@ -38,13 +38,6 @@ struct SweepOptions {
   ExactOptions exact_options = {};
   /// Effort knob for the bracket method's heuristic OPT upper bound.
   HeuristicOptions heuristic_options = {};
-  /// Simulated-annealing iterations folded into the bracket's OPT upper
-  /// bound (min with the heuristic). Default off: profiling the standard
-  /// workload suite showed the heuristic never lost to the 10k-iteration
-  /// anneal there, so the anneal was pure overhead (~60% of sweep time);
-  /// the bracket verdicts only use inequalities that stay valid with the
-  /// looser upper bound. Set > 0 to tighten brackets on gnarly instances.
-  std::size_t bracket_anneal_iterations = 0;
   /// nullptr = use the process-global pool.
   ThreadPool* pool = nullptr;
   /// Force serial execution (for determinism tests).

@@ -51,7 +51,6 @@
 #include "sim/trace.h"
 #include "sim/trace_check.h"
 #include "support/telemetry.h"
-#include "offline/annealing.h"
 #include "workload/cloud_trace.h"
 #include "workload/generator.h"
 #include "workload/suite.h"

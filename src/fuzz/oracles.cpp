@@ -11,7 +11,6 @@
 
 #include "analysis/instance_stats.h"
 #include "core/interval_set.h"
-#include "offline/annealing.h"
 #include "offline/exact.h"
 #include "offline/heuristic.h"
 #include "offline/lower_bound.h"
@@ -172,6 +171,47 @@ bool offline_in_scope(const Instance& instance, const OracleOptions& options,
          instance.latest_completion() <= cap;
 }
 
+/// OPT is additive over window components: jobs whose feasible windows
+/// [a, d+p) are disjoint never overlap. The instance is split here with
+/// code of its own — a sort by arrival and a running reach of d+p, a job
+/// arriving at or after the reach starting a new component — and every
+/// component is solved as an Instance of its own. The sum of those optima
+/// must equal the whole instance's certified optimum `opt`. A component
+/// that runs out of budget makes no claim.
+std::optional<std::string> additive_failure(const Instance& instance,
+                                            const ExactOptions& options,
+                                            Time opt) {
+  std::vector<JobId> order(instance.size());
+  std::iota(order.begin(), order.end(), JobId{0});
+  std::stable_sort(order.begin(), order.end(), [&](JobId x, JobId y) {
+    return instance.job(x).arrival < instance.job(y).arrival;
+  });
+  Time sum = Time::zero();
+  std::size_t components = 0;
+  for (std::size_t i = 0; i < order.size(); ++components) {
+    InstanceBuilder part;
+    Time reach = instance.job(order[i]).arrival;
+    do {
+      const Job job = instance.job(order[i]);
+      part.add_ticks(job.arrival, job.deadline, job.length);
+      reach = std::max(reach, job.deadline + job.length);
+      ++i;
+    } while (i < order.size() && instance.job(order[i]).arrival < reach);
+    const Instance component = part.build();
+    const ExactResult r = exact_optimal(component, options);
+    if (!r.optimal()) {
+      return std::nullopt;
+    }
+    sum += r.span;
+  }
+  if (sum != opt) {
+    return "the optima of " + std::to_string(components) +
+           " window components sum to " + sum.to_string() +
+           ", but the whole instance's OPT is " + opt.to_string();
+  }
+  return std::nullopt;
+}
+
 Oracle offline_sandwich_oracle(const OracleOptions& options) {
   return Oracle{
       "offline-sandwich",
@@ -191,17 +231,6 @@ Oracle offline_sandwich_oracle(const OracleOptions& options) {
         if (lb > heur.span) {
           return "lower bound " + lb.to_string() + " exceeds heuristic span " +
                  heur.span.to_string();
-        }
-
-        AnnealingOptions anneal_options;
-        anneal_options.iterations = options.annealing_iterations;
-        const AnnealingResult anneal =
-            anneal_schedule(instance, anneal_options);
-        if (!anneal.schedule.is_valid(instance)) {
-          return std::string("annealing produced an invalid schedule");
-        }
-        if (anneal.span != anneal.schedule.span(instance)) {
-          return std::string("annealing span disagrees with its schedule");
         }
 
         ExactOptions exact_options;
@@ -228,9 +257,9 @@ Oracle offline_sandwich_oracle(const OracleOptions& options) {
           return "OPT " + exact.span.to_string() + " exceeds heuristic UB " +
                  heur.span.to_string();
         }
-        if (exact.span > anneal.span) {
-          return "OPT " + exact.span.to_string() + " exceeds annealing UB " +
-                 anneal.span.to_string();
+        if (auto failure = additive_failure(instance, exact_options,
+                                            exact.span)) {
+          return failure;
         }
         // Every online schedule is feasible offline, so OPT bounds it.
         // Span-mode portfolio: the instance is prepared once and replayed
@@ -355,67 +384,6 @@ Oracle exact_vs_reference_oracle(const OracleOptions& options) {
         if (bnb.span != reference.span) {
           return "branch-and-bound OPT " + bnb.span.to_string() +
                  " != grid reference OPT " + reference.span.to_string();
-        }
-        return std::nullopt;
-      }};
-}
-
-/// OPT is additive over window components: jobs whose feasible windows
-/// [a, d+p) are disjoint never overlap. The instance is split here with
-/// code of its own — a sort by arrival and a running reach of d+p, a job
-/// arriving at or after the reach starting a new component — and every
-/// component is solved as an Instance of its own. The sum of those optima
-/// must equal the whole instance's optimum, whose witness must be valid and
-/// achieve it.
-Oracle exact_additive_oracle(const OracleOptions& options) {
-  return Oracle{
-      "exact-additive",
-      [options](const Instance& instance) -> std::optional<std::string> {
-        if (!offline_in_scope(instance, options, options.exact_max_jobs)) {
-          return std::nullopt;
-        }
-        ExactOptions exact_options;
-        exact_options.max_nodes = options.exact_max_nodes;
-        const ExactResult whole = exact_optimal(instance, exact_options);
-        if (!whole.optimal()) {
-          return std::nullopt;  // out of budget: no exactness claim
-        }
-        if (!whole.schedule.is_valid(instance)) {
-          return std::string("exact witness is invalid");
-        }
-        if (whole.schedule.span(instance) != whole.span) {
-          return "exact witness spans " +
-                 whole.schedule.span(instance).to_string() + ", not OPT " +
-                 whole.span.to_string();
-        }
-        std::vector<JobId> order(instance.size());
-        std::iota(order.begin(), order.end(), JobId{0});
-        std::stable_sort(order.begin(), order.end(), [&](JobId x, JobId y) {
-          return instance.job(x).arrival < instance.job(y).arrival;
-        });
-        Time sum = Time::zero();
-        std::size_t components = 0;
-        for (std::size_t i = 0; i < order.size(); ++components) {
-          InstanceBuilder part;
-          Time reach = instance.job(order[i]).arrival;
-          do {
-            const Job job = instance.job(order[i]);
-            part.add_ticks(job.arrival, job.deadline, job.length);
-            reach = std::max(reach, job.deadline + job.length);
-            ++i;
-          } while (i < order.size() &&
-                   instance.job(order[i]).arrival < reach);
-          const Instance component = part.build();
-          const ExactResult r = exact_optimal(component, exact_options);
-          if (!r.optimal()) {
-            return std::nullopt;
-          }
-          sum += r.span;
-        }
-        if (sum != whole.span) {
-          return "the optima of " + std::to_string(components) +
-                 " window components sum to " + sum.to_string() +
-                 ", but the whole instance's OPT is " + whole.span.to_string();
         }
         return std::nullopt;
       }};
@@ -612,7 +580,6 @@ std::vector<Oracle> standard_oracles(const OracleOptions& options) {
     oracles.push_back(ratio_bounds_oracle());
     oracles.push_back(offline_sandwich_oracle(options));
     oracles.push_back(exact_vs_reference_oracle(options));
-    oracles.push_back(exact_additive_oracle(options));
   }
   // Always on — no gate, no size cap, no horizon cap: every other oracle
   // reads the instance through this substrate.

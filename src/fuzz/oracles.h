@@ -14,15 +14,14 @@
 //    stats and one online span hold together on EVERY instance, including
 //    near-Time::max() magnitudes the offline oracles skip: stats never
 //    throw, and best_lower_bound <= the eager online span (>= OPT).
-//  * offline-sandwich — certified lower bounds, the exact branch-and-bound,
-//    the alignment heuristic and annealing must bracket correctly:
-//    LB <= OPT <= heuristic/annealing, and online spans >= OPT.
+//  * offline-sandwich — certified lower bounds, the exact branch-and-bound
+//    and the alignment heuristic must bracket correctly: LB <= OPT <=
+//    heuristic, online spans >= OPT, and the exact witness is valid and
+//    achieves OPT. OPT is also additive: the instance's window components,
+//    split by the oracle's own code and solved as instances of their own,
+//    have optima that sum to the whole instance's optimum.
 //  * exact-vs-reference — on integral instances the branch-and-bound and
 //    the legacy grid DFS agree exactly.
-//  * exact-additive — the instance's window components, split by the
-//    oracle's own code and solved as instances of their own, have optima
-//    that sum to the whole instance's optimum, and the whole witness is
-//    valid and achieves it.
 //  * view-vs-owned — always on, never size- or horizon-capped: an
 //    InstanceView over an independently rebuilt JobTable scratch buffer
 //    (the miner's mutate-evaluate path) is observably identical to the
@@ -54,9 +53,6 @@ struct OracleOptions {
   std::size_t exact_max_nodes = 400'000;
   std::size_t reference_max_jobs = 7;
   std::size_t reference_max_nodes = 4'000'000;
-  /// Annealing proposals per instance (kept small: it is one of three
-  /// independent upper bounds, not the star of the show).
-  std::size_t annealing_iterations = 1'500;
   /// Offline oracles skip instances whose latest completion exceeds this
   /// many units — near-overflow magnitudes are for the engine/trace
   /// oracles, not for alignment arithmetic.

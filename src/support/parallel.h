@@ -4,8 +4,8 @@
 // without deadlock).
 //
 // Indices are handed out dynamically: thread_count + 1 tasks claim them one
-// at a time from a shared atomic counter, so an expensive item (a slow
-// annealing case, a pathological instance) does not strand cheaper ones
+// at a time from a shared atomic counter, so an expensive item (a hard
+// exact solve, a pathological instance) does not strand cheaper ones
 // behind it. Results are written to pre-sized slots keyed by index, so the
 // output is deterministic and independent of the thread count — the
 // property the serial-vs-parallel tests pin down.
