@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "analysis/report.h"
 #include "offline/heuristic.h"
 #include "offline/lower_bound.h"
 #include "schedulers/registry.h"
@@ -58,13 +57,6 @@ int main(int argc, char** argv) {
                  "1x", "-"});
   std::cout << table.render() << '\n';
   std::cout << "certified OPT lower bound: "
-            << format_double(opt_lower.to_units(), 2) << " server-hours\n\n";
-
-  // Timeline detail for the best guaranteed scheduler (Batch+).
-  const auto batch_plus = make_scheduler("batch+");
-  const SimulationResult bp_run =
-      simulate(trace.instance, *batch_plus, true);
-  std::cout << "Batch+ timeline:\n"
-            << analyze_timeline(bp_run.instance, bp_run.schedule).to_string();
+            << format_double(opt_lower.to_units(), 2) << " server-hours\n";
   return 0;
 }

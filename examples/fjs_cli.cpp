@@ -14,9 +14,9 @@
 
 #include "analysis/gantt.h"
 #include "analysis/instance_stats.h"
-#include "analysis/ratio.h"
-#include "analysis/report.h"
 #include "analysis/svg.h"
+#include "offline/heuristic.h"
+#include "offline/lower_bound.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
 #include "support/string_util.h"
@@ -30,8 +30,7 @@ int usage() {
   std::cerr
       << "usage: fjs_cli [--scheduler KEY] [--workload NAME | --file PATH]\n"
          "               [--jobs N] [--seed S] [--gantt] [--stats]\n"
-         "               [--timeline] [--svg PATH] [--save-schedule PATH]\n"
-         "               [--list]\n";
+         "               [--svg PATH] [--save-schedule PATH] [--list]\n";
   return 2;
 }
 
@@ -54,7 +53,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool gantt = false;
   bool stats = false;
-  bool timeline = false;
   std::string svg_path;
   std::string save_schedule_path;
 
@@ -80,8 +78,6 @@ int main(int argc, char** argv) {
       gantt = true;
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--timeline") {
-      timeline = true;
     } else if (arg == "--svg") {
       svg_path = next();
     } else if (arg == "--save-schedule") {
@@ -139,23 +135,21 @@ int main(int argc, char** argv) {
             << "  span / work      "
             << format_double(metrics.span_over_work, 3) << '\n';
 
-  const RatioBracket bracket =
-      measure_ratio(instance, scheduler_key, OptMethod::kBracket);
+  // The bracket online/heuristic <= ratio <= online/lower_bound: the
+  // heuristic span is a feasible offline schedule, the lower bound is
+  // certified.
+  const Time opt_upper = heuristic_span(instance);
+  const Time opt_lower = best_lower_bound(instance);
   std::cout << "  ratio bracket    ["
-            << format_double(bracket.ratio_lower(), 3) << ", "
-            << format_double(bracket.ratio_upper(), 3) << "]  (vs heuristic"
-            << " OPT " << bracket.opt_upper.to_string() << ", certified LB "
-            << bracket.opt_lower.to_string() << ")\n";
+            << format_double(time_ratio(result.span(), opt_upper), 3) << ", "
+            << format_double(time_ratio(result.span(), opt_lower), 3)
+            << "]  (vs heuristic OPT " << opt_upper.to_string()
+            << ", certified LB " << opt_lower.to_string() << ")\n";
 
   if (stats) {
     std::cout << '\n'
               << compute_instance_stats(result.instance).to_string() << '\n'
               << guarantee_table(result.instance);
-  }
-  if (timeline) {
-    std::cout << '\n'
-              << analyze_timeline(result.instance, result.schedule)
-                     .to_string();
   }
   if (gantt) {
     std::cout << '\n'

@@ -9,7 +9,6 @@
 
 #include "adversary/clairvoyant_lb.h"
 #include "adversary/tightness.h"
-#include "analysis/flag_forest.h"
 #include "analysis/gantt.h"
 #include "schedulers/batch.h"
 #include "schedulers/batch_plus.h"
@@ -100,26 +99,5 @@ int main() {
   walkthrough_theorem41(lazy, "lazy (refuses immediately)");
   ProfitScheduler profit;
   walkthrough_theorem41(profit, "profit (rides through)");
-
-  // Bonus: the §4.3 proof object — Profit's flag forest on a workload
-  // with overlapping iterations.
-  std::cout << "================ §4.3: Profit's flag forest"
-               " ================\n"
-               "Each tree is charged to a disjoint chunk of OPT in the"
-               " proof of Theorem 4.11.\n\n";
-  const Instance inst = InstanceBuilder()
-                            .add(0.0, 1.0, 4.0)
-                            .add(0.0, 3.0, 9.0)
-                            .add(0.0, 9.0, 25.0)
-                            .add(14.0, 40.0, 2.0)
-                            .add(41.0, 44.0, 1.0)
-                            .build();
-  ProfitScheduler profit2(1.2);
-  const SimulationResult run = simulate(inst, profit2, true);
-  const FlagForest forest =
-      build_flag_forest(run.instance, profit2.flag_history());
-  std::cout << forest.to_string(run.instance) << '\n'
-            << forest.tree_count() << " tree(s), height "
-            << forest.height() << '\n';
   return 0;
 }

@@ -20,11 +20,9 @@ struct OptBounds {
   Time lower;
 };
 
+/// The OPT bracket: the alignment heuristic's span is a feasible offline
+/// schedule (an upper bound), `best_lower_bound` a certified lower bound.
 OptBounds opt_bounds_for(const Instance& instance, const SweepOptions& opts) {
-  if (opts.opt_method == OptMethod::kExact) {
-    const Time opt = exact_optimal_span(instance, opts.exact_options);
-    return OptBounds{opt, opt};
-  }
   return OptBounds{heuristic_span(instance, opts.heuristic_options),
                    best_lower_bound(instance)};
 }

@@ -1,14 +1,13 @@
 // Parallel ratio sweeps: run many (instance × scheduler) simulations and
 // aggregate competitive-ratio statistics. Deterministic regardless of the
-// worker count: every task owns a fresh scheduler object and results are
-// reduced in index order.
+// worker count: the engine resets each scheduler before every run and
+// results are reduced in index order.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "analysis/ratio.h"
 #include "core/instance.h"
 #include "offline/heuristic.h"
 #include "support/stats.h"
@@ -24,19 +23,16 @@ struct SweepCase {
 
 struct SchedulerAggregate {
   std::string scheduler_key;
-  /// Conservative per-case ratios (online / OPT-upper-bound).
+  /// Conservative per-case ratios (online / heuristic OPT upper bound).
   Summary ratio_lower;
-  /// Upper-estimate per-case ratios (online / OPT-lower-bound); equals
-  /// ratio_lower when the exact solver was used.
+  /// Upper-estimate per-case ratios (online / certified OPT lower bound).
   Summary ratio_upper;
   /// Raw spans, for absolute comparisons.
   Summary spans;
 };
 
 struct SweepOptions {
-  OptMethod opt_method = OptMethod::kBracket;
-  ExactOptions exact_options = {};
-  /// Effort knob for the bracket method's heuristic OPT upper bound.
+  /// Effort knob for the heuristic OPT upper bound.
   HeuristicOptions heuristic_options = {};
   /// nullptr = use the process-global pool.
   ThreadPool* pool = nullptr;

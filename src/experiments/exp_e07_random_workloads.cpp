@@ -5,8 +5,11 @@
 // generous laxity, Eager/Lazy losing ground, CDB/Profit trading
 // average-case performance for worst-case guarantees. Ratios are reported
 // as a bracket [online/heuristic, online/lower-bound] that contains the
-// true competitive ratio on each instance. Verdicts: the bracket is
-// ordered and conservative (lower side >= 1-eps) for every cell.
+// true competitive ratio on each instance. Two verdicts per (workload,
+// scheduler) cell: "bracket ordered" (mean online/lower-bound >= mean
+// online/heuristic) and "sound upper ratio" (mean online/lower-bound >= 1).
+// The lower side has no verdict: an online schedule can beat the
+// heuristic's span, so a mean online/heuristic below 1 is no error.
 #include <string>
 #include <vector>
 

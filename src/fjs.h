@@ -5,11 +5,8 @@
 #pragma once
 
 #include "analysis/convergence.h"
-#include "analysis/flag_forest.h"
 #include "analysis/gantt.h"
 #include "analysis/instance_stats.h"
-#include "analysis/ratio.h"
-#include "analysis/report.h"
 #include "analysis/svg.h"
 #include "analysis/sweep.h"
 #include "adversary/clairvoyant_lb.h"
@@ -41,8 +38,6 @@
 #include "schedulers/profit.h"
 #include "schedulers/randomized.h"
 #include "schedulers/registry.h"
-#include "offline/certify.h"
-#include "sim/conformance.h"
 #include "sim/engine.h"
 #include "sim/length_oracle.h"
 #include "sim/portfolio.h"
@@ -54,7 +49,6 @@
 #include "workload/cloud_trace.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
-#include "workload/transforms.h"
 
 namespace fjs {
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "analysis/ratio.h"
 #include "analysis/sweep.h"
 #include "helpers.h"
+#include "offline/exact.h"
 #include "schedulers/registry.h"
 #include "support/assert.h"
 #include "workload/generator.h"
@@ -14,47 +14,42 @@ namespace {
 using testing::make_instance;
 using testing::units;
 
-TEST(Ratio, ExactMethodGivesPointEstimate) {
-  const Instance inst = testing::random_integral_instance(3, 6, 10, 4, 4);
-  const RatioBracket bracket =
-      measure_ratio(inst, "batch+", OptMethod::kExact);
-  EXPECT_TRUE(bracket.exact());
-  EXPECT_DOUBLE_EQ(bracket.ratio_lower(), bracket.ratio_upper());
-  EXPECT_GE(bracket.ratio_lower(), 1.0 - 1e-12);
+/// The OPT bracket the harness computes for one scheduler on one instance:
+/// a one-case sweep.
+SchedulerAggregate sweep_one(const Instance& inst, const std::string& key) {
+  const std::vector<SweepCase> cases = {
+      SweepCase{.label = "one", .seed = 0, .instance = inst}};
+  return run_ratio_sweep(cases, {key}, SweepOptions{.serial = true}).front();
 }
 
-TEST(Ratio, BracketMethodOrdersEnds) {
+TEST(Ratio, BracketOrdersEnds) {
   const Instance inst = testing::random_integral_instance(4, 20, 30, 6, 4);
-  const RatioBracket bracket =
-      measure_ratio(inst, "batch", OptMethod::kBracket);
-  EXPECT_LE(bracket.opt_lower, bracket.opt_upper);
-  EXPECT_LE(bracket.ratio_lower(), bracket.ratio_upper() + 1e-12);
-  EXPECT_GE(bracket.online_span, bracket.opt_lower);
+  const SchedulerAggregate agg = sweep_one(inst, "batch");
+  ASSERT_EQ(agg.ratio_lower.count(), 1u);
+  ASSERT_EQ(agg.ratio_upper.count(), 1u);
+  EXPECT_LE(agg.ratio_lower.min(), agg.ratio_upper.min() + 1e-12);
+  // The online span is at least the certified lower bound.
+  EXPECT_GE(agg.ratio_upper.min(), 1.0 - 1e-12);
 }
 
 TEST(Ratio, BracketContainsExactRatio) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Instance inst =
         testing::random_integral_instance(seed + 100, 6, 10, 4, 4);
-    const RatioBracket exact =
-        measure_ratio(inst, "batch+", OptMethod::kExact);
-    const RatioBracket bracket =
-        measure_ratio(inst, "batch+", OptMethod::kBracket);
-    EXPECT_LE(bracket.ratio_lower(), exact.ratio_lower() + 1e-9);
-    EXPECT_GE(bracket.ratio_upper(), exact.ratio_upper() - 1e-9);
+    const SchedulerAggregate agg = sweep_one(inst, "batch+");
+    const double exact =
+        agg.spans.samples()[0] / exact_optimal_span(inst).to_units();
+    EXPECT_GE(exact, 1.0 - 1e-12);
+    EXPECT_LE(agg.ratio_lower.min(), exact + 1e-9);
+    EXPECT_GE(agg.ratio_upper.min(), exact - 1e-9);
   }
-}
-
-TEST(Ratio, EmptyInstanceRejected) {
-  EXPECT_THROW(measure_ratio(Instance{}, "batch", OptMethod::kBracket),
-               AssertionError);
 }
 
 TEST(Ratio, ClairvoyantSchedulersRouted) {
   const Instance inst = testing::random_integral_instance(9, 6, 10, 4, 4);
-  // Would throw if measure_ratio ran Profit non-clairvoyantly.
-  EXPECT_NO_THROW(measure_ratio(inst, "profit", OptMethod::kExact));
-  EXPECT_NO_THROW(measure_ratio(inst, "cdb", OptMethod::kExact));
+  // Would throw if the sweep ran Profit or CDB non-clairvoyantly.
+  EXPECT_NO_THROW(sweep_one(inst, "profit"));
+  EXPECT_NO_THROW(sweep_one(inst, "cdb"));
 }
 
 TEST(Sweep, MakeCasesSeedsSequentially) {
@@ -108,22 +103,6 @@ TEST(Sweep, SerialAndParallelAgree) {
     EXPECT_EQ(a[s].ratio_lower.samples(), b[s].ratio_lower.samples());
     EXPECT_EQ(a[s].spans.samples(), b[s].spans.samples());
   }
-}
-
-TEST(Sweep, ExactMethodOnIntegralCases) {
-  WorkloadConfig cfg;
-  cfg.job_count = 6;
-  cfg.integral = true;
-  cfg.laxity_max = 3.0;
-  const auto cases = make_cases(cfg, "tiny", 4, 3);
-  SweepOptions options;
-  options.opt_method = OptMethod::kExact;
-  const auto aggregates = run_ratio_sweep(cases, {"batch+"}, options);
-  ASSERT_EQ(aggregates.size(), 1u);
-  // With the exact solver both ratio summaries coincide.
-  EXPECT_EQ(aggregates[0].ratio_lower.samples(),
-            aggregates[0].ratio_upper.samples());
-  EXPECT_GE(aggregates[0].ratio_lower.min(), 1.0 - 1e-12);
 }
 
 // Golden pin: per-scheduler spans and both ratio ends on two standard_suite

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "adversary/instance_miner.h"
-#include "analysis/flag_forest.h"
 #include "analysis/instance_stats.h"
 #include "analysis/svg.h"
 #include "helpers.h"
@@ -178,58 +177,6 @@ TEST(Miner, GeneralObjectiveSeparatesSchedulers) {
       },
       options);
   EXPECT_GT(result.worst_ratio, 1.3);
-}
-
-TEST(FlagForest, BuildsTreesFromProfitRun) {
-  const Instance inst = testing::random_integral_instance(21, 10, 14, 5, 5);
-  ProfitScheduler profit;
-  const SimulationResult result = simulate(inst, profit, true);
-  const FlagForest forest =
-      build_flag_forest(result.instance, profit.flag_history());
-  ASSERT_EQ(forest.nodes.size(), profit.flag_history().size());
-  // Structural invariants: every child lists its parent, roots counted.
-  std::size_t roots = 0;
-  for (std::size_t i = 0; i < forest.nodes.size(); ++i) {
-    if (forest.nodes[i].parent == FlagForest::kNoParent) {
-      ++roots;
-    } else {
-      const auto& siblings = forest.nodes[forest.nodes[i].parent].children;
-      EXPECT_NE(std::find(siblings.begin(), siblings.end(), i),
-                siblings.end());
-    }
-  }
-  EXPECT_EQ(forest.tree_count(), roots);
-  EXPECT_GE(roots, 1u);
-  EXPECT_LT(forest.height(), forest.nodes.size());
-  EXPECT_FALSE(forest.to_string(result.instance).empty());
-}
-
-TEST(FlagForest, SingleFlagIsOneRoot) {
-  const Instance inst = testing::make_instance({{0, 2, 1}});
-  ProfitScheduler profit;
-  const SimulationResult result = simulate(inst, profit, true);
-  const FlagForest forest =
-      build_flag_forest(result.instance, profit.flag_history());
-  ASSERT_EQ(forest.nodes.size(), 1u);
-  EXPECT_EQ(forest.tree_count(), 1u);
-  EXPECT_EQ(forest.height(), 0u);
-}
-
-TEST(FlagForest, ChainedFlagsFormOneTree) {
-  // Two flags where the second arrives before the first's latest
-  // completion and starts later: second is the first's parent per §4.3.
-  // J0: (a=0, d=1, p=4) — flag at 1. J1: (a=0, d=9, p=9): not profitable
-  // to J0 (9 > k*4 for k=1.2), arrives before 1+4=5, deadline 9 > 1.
-  const Instance inst = testing::make_instance({{0, 1, 4}, {0, 9, 9}});
-  ProfitScheduler profit(1.2);
-  const SimulationResult result = simulate(inst, profit, true);
-  ASSERT_EQ(profit.flag_history().size(), 2u);
-  const FlagForest forest =
-      build_flag_forest(result.instance, profit.flag_history());
-  EXPECT_EQ(forest.tree_count(), 1u);
-  EXPECT_EQ(forest.height(), 1u);
-  // Node 0 (earlier deadline) has node 1 as parent.
-  EXPECT_EQ(forest.nodes[0].parent, 1u);
 }
 
 TEST(Miner, RejectsBadOptions) {

@@ -1,9 +1,8 @@
 // Regression tests for the edge-case bugfix sweep: CsvWriter fail-loud
 // semantics, RandomizedScheduler tied timer/deadline events, the Doubler
 // window-close overflow, saturating Time helpers, the offline heuristic's
-// near-Time::min() window edge and Time::max() spans, the conformance-suite
-// coverage additions, the strengthened same-tick trace rules, and the
-// prepared-replay overflow check.
+// near-Time::min() window edge and Time::max() spans, the strengthened
+// same-tick trace rules, and the prepared-replay overflow check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +22,6 @@
 #include "schedulers/doubler.h"
 #include "schedulers/randomized.h"
 #include "schedulers/registry.h"
-#include "sim/conformance.h"
 #include "sim/engine.h"
 #include "sim/portfolio.h"
 #include "sim/trace_check.h"
@@ -103,13 +101,6 @@ TEST(RandomizedRegression, TimerTiedWithDeadlineIsHandled) {
     EXPECT_TRUE(check_trace(result.instance, result.schedule, result.trace)
                     .empty());
   }
-}
-
-TEST(RandomizedRegression, PassesConformanceSuite) {
-  const auto report = run_conformance_suite(
-      []() { return std::make_unique<RandomizedScheduler>(7); },
-      /*clairvoyant=*/false);
-  EXPECT_TRUE(report.passed()) << report.to_string();
 }
 
 // Found by fuzzing (seed 498): 2·p(flag) overflowed int64 for adversarial
@@ -290,16 +281,6 @@ TEST(HeuristicRegression, SpanOfExactlyTimeMaxKeepsASchedule) {
   ASSERT_NO_THROW(result = heuristic_optimal(inst));
   EXPECT_EQ(result.span, Time::max());
   EXPECT_NO_THROW(result.schedule.validate(inst));
-}
-
-TEST(ConformanceRegression, EveryRegisteredSchedulerPassesExtendedSuite) {
-  for (const auto& spec : scheduler_registry()) {
-    const auto report = run_conformance_suite(spec.make, spec.clairvoyant);
-    EXPECT_TRUE(report.passed()) << spec.key << ":\n" << report.to_string();
-    // The battery includes the new clairvoyant-spread / same-tick pileup
-    // probes; pin a floor so a probe can't silently vanish.
-    EXPECT_GE(report.probes_run, 12u) << spec.key;
-  }
 }
 
 // The trace validator must reject same-tick orders that violate half-open

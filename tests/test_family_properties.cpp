@@ -7,7 +7,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "analysis/ratio.h"
+#include "analysis/sweep.h"
 #include "helpers.h"
 #include "schedulers/classify_by_duration.h"
 #include "schedulers/profit.h"
@@ -29,6 +29,16 @@ class FamilyProperties
     config.job_count = 60;
     return generate_workload(config, std::get<1>(GetParam()));
   }
+
+  /// The harness's OPT bracket for each key on this cell: a one-case
+  /// sweep. ratio_lower is online / OPT-upper-bound, ratio_upper is
+  /// online / OPT-lower-bound.
+  static std::vector<SchedulerAggregate> sweep(
+      const Instance& inst, const std::vector<std::string>& keys) {
+    const std::vector<SweepCase> cases = {
+        SweepCase{.label = "cell", .seed = 0, .instance = inst}};
+    return run_ratio_sweep(cases, keys, SweepOptions{.serial = true});
+  }
 };
 
 TEST_P(FamilyProperties, EverySchedulerProducesValidSchedules) {
@@ -44,47 +54,38 @@ TEST_P(FamilyProperties, EverySchedulerProducesValidSchedules) {
 TEST_P(FamilyProperties, SpanOrderingSanity) {
   const Instance inst = make();
   // Nobody beats the certified lower bound; everyone beats serial work.
-  const RatioBracket probe = measure_ratio(inst, "batch+",
-                                           OptMethod::kBracket);
+  std::vector<std::string> keys;
   for (const auto& spec : scheduler_registry()) {
-    const auto scheduler = spec.make();
-    const Time span = simulate_span(inst, *scheduler, spec.clairvoyant);
-    EXPECT_GE(span, probe.opt_lower) << spec.key;
-    EXPECT_LE(span, inst.total_work()) << spec.key;
+    keys.push_back(spec.key);
+  }
+  const auto aggregates = sweep(inst, keys);
+  for (std::size_t s = 0; s < keys.size(); ++s) {
+    ASSERT_EQ(aggregates[s].ratio_upper.count(), 1u) << keys[s];
+    EXPECT_GE(aggregates[s].ratio_upper.min(), 1.0 - 1e-12) << keys[s];
+    EXPECT_LE(aggregates[s].spans.max(), inst.total_work().to_units())
+        << keys[s];
   }
 }
 
 TEST_P(FamilyProperties, BatchPlusBoundViaBracket) {
   const Instance inst = make();
-  const RatioBracket bracket =
-      measure_ratio(inst, "batch+", OptMethod::kBracket);
   // span <= (mu+1)·OPT <= (mu+1)·opt_upper.
-  EXPECT_LE(static_cast<double>(bracket.online_span.ticks()),
-            (inst.mu() + 1.0) *
-                static_cast<double>(bracket.opt_upper.ticks()) *
-                (1 + 1e-12));
+  EXPECT_LE(sweep(inst, {"batch+"})[0].ratio_lower.max(),
+            (inst.mu() + 1.0) * (1 + 1e-12));
 }
 
 TEST_P(FamilyProperties, ProfitBoundViaBracket) {
   const Instance inst = make();
-  const RatioBracket bracket =
-      measure_ratio(inst, "profit", OptMethod::kBracket);
   const double k = ProfitScheduler::optimal_k();
   const double bound = 2.0 * k + 2.0 + 1.0 / (k - 1.0);
-  EXPECT_LE(static_cast<double>(bracket.online_span.ticks()),
-            bound * static_cast<double>(bracket.opt_upper.ticks()) *
-                (1 + 1e-12));
+  EXPECT_LE(sweep(inst, {"profit"})[0].ratio_lower.max(), bound * (1 + 1e-12));
 }
 
 TEST_P(FamilyProperties, CdbBoundViaBracket) {
   const Instance inst = make();
-  const RatioBracket bracket = measure_ratio(inst, "cdb",
-                                             OptMethod::kBracket);
   const double alpha = CdbScheduler::optimal_alpha();
   const double bound = 3.0 * alpha + 4.0 + 2.0 / (alpha - 1.0);
-  EXPECT_LE(static_cast<double>(bracket.online_span.ticks()),
-            bound * static_cast<double>(bracket.opt_upper.ticks()) *
-                (1 + 1e-12));
+  EXPECT_LE(sweep(inst, {"cdb"})[0].ratio_lower.max(), bound * (1 + 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(

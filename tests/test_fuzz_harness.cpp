@@ -1,11 +1,15 @@
 // Tests for the property-based fuzzing harness: generator coverage,
-// oracle sensitivity, shrinker convergence/determinism, repro round-trip,
-// and thread-count-independent harness output.
+// oracle sensitivity, a fixed probe corpus through every scheduler oracle,
+// shrinker convergence/determinism, repro round-trip, and
+// thread-count-independent harness output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fuzz/generator.h"
 #include "fuzz/harness.h"
@@ -13,8 +17,10 @@
 #include "fuzz/repro.h"
 #include "fuzz/shrink.h"
 #include "helpers.h"
+#include "schedulers/randomized.h"
 #include "schedulers/registry.h"
 #include "support/assert.h"
+#include "support/rng.h"
 
 namespace fjs {
 namespace {
@@ -167,6 +173,146 @@ TEST(FuzzOracles, CatchesLengthOracleInconsistency) {
   ASSERT_TRUE(detail.has_value());
   EXPECT_NE(detail->find("length-oracle inconsistency"), std::string::npos)
       << *detail;
+}
+
+struct Probe {
+  std::string name;
+  Instance instance;
+};
+
+/// Hand-made probes for the traps a scheduler implementation falls into:
+/// half-open boundary ticks, zero-laxity arrivals, same-tick events,
+/// bursts, clairvoyance gating and fractional times. The fuzz generator
+/// draws at most twelve jobs and hits exact ties only by chance; the corpus
+/// holds these shapes on every run.
+std::vector<Probe> probe_corpus() {
+  std::vector<Probe> probes;
+  auto add = [&probes](const std::string& name, InstanceBuilder builder) {
+    probes.push_back(Probe{name, builder.build()});
+  };
+
+  add("single-rigid-job", InstanceBuilder().add(0, 0, 1));
+  add("single-loose-job", InstanceBuilder().add(0, 100, 1));
+  add("two-simultaneous-rigid",
+      InstanceBuilder().add(0, 0, 2).add(0, 0, 3));
+  add("zero-laxity-at-nonzero-time",
+      InstanceBuilder().add(5, 5, 1).add(5, 5, 2));
+  add("arrival-exactly-at-completion",
+      InstanceBuilder().add(0, 0, 1).add(1, 10, 1));
+  add("deadline-equals-another-completion",
+      InstanceBuilder().add(0, 0, 2).add(0, 2, 1));
+  add("shared-deadlines",
+      InstanceBuilder().add(0, 3, 1).add(0, 3, 2).add(1, 3, 3));
+  add("nested-windows",
+      InstanceBuilder().add(0, 10, 1).add(2, 8, 1).add(4, 6, 1));
+  add("tiny-and-huge-lengths",
+      InstanceBuilder().add(0, 1, 0.001).add(0, 1, 500.0));
+  // Identical windows, lengths spread across classification categories: a
+  // scheduler that reads length_of at arrival (CDB, Profit, Doubler) takes
+  // different branches per job while a non-clairvoyant one cannot tell
+  // them apart.
+  add("clairvoyant-category-spread",
+      InstanceBuilder()
+          .add(0, 3, 0.25)
+          .add(0, 3, 1)
+          .add(0, 3, 2)
+          .add(0, 3, 4.5)
+          .add(0, 3, 16));
+  // A rigid flag followed by arrivals during its run whose lengths
+  // straddle any reasonable profitability threshold.
+  add("clairvoyant-profit-straddle",
+      InstanceBuilder()
+          .add(0, 0, 4)
+          .add(1, 10, 0.5)
+          .add(1, 10, 2)
+          .add(1.5, 10, 8)
+          .add(2, 10, 3.999));
+  // The first job completes at t=2 exactly when the second's starting
+  // deadline fires; completions outrank deadlines at the same tick.
+  add("completion-ties-deadline",
+      InstanceBuilder().add(0, 0, 2).add(0, 2, 3));
+  // At t=2 a completion, a deadline, an arrival and a zero-laxity arrival
+  // (its own deadline included) coincide: the whole tie-break chain.
+  add("completion-deadline-arrival-pileup",
+      InstanceBuilder()
+          .add(0, 0, 2)    // completes exactly at t=2
+          .add(0, 2, 1)    // starting deadline at t=2
+          .add(2, 5, 1)    // arrives at t=2
+          .add(2, 2, 1));  // zero-laxity arrival at t=2
+  add("burst-of-twenty", [] {
+    InstanceBuilder b;
+    for (int i = 0; i < 20; ++i) {
+      b.add_lax(0.0, static_cast<double>(i), 1.0);
+    }
+    return b;
+  }());
+  add("staggered-chain", [] {
+    InstanceBuilder b;
+    for (int i = 0; i < 10; ++i) {
+      b.add_lax(static_cast<double>(i) * 1.5, 2.0, 1.0);
+    }
+    return b;
+  }());
+  Rng rng(0xC0FFEE);
+  for (int round = 0; round < 4; ++round) {
+    InstanceBuilder b;
+    for (int i = 0; i < 25; ++i) {
+      const double a = rng.uniform_real(0.0, 20.0);
+      b.add_lax(a, rng.uniform_real(0.0, 6.0), rng.uniform_real(0.1, 4.0));
+    }
+    add("random-fractional-" + std::to_string(round), std::move(b));
+  }
+  return probes;
+}
+
+/// (probe name, failure detail) for every probe on which `oracle` fails.
+std::vector<std::pair<std::string, std::string>> probe_failures(
+    const Oracle& oracle) {
+  std::vector<std::pair<std::string, std::string>> failures;
+  for (const Probe& probe : probe_corpus()) {
+    if (auto detail = oracle.check(probe.instance)) {
+      failures.emplace_back(probe.name, *detail);
+    }
+  }
+  return failures;
+}
+
+TEST(FuzzProbeCorpus, EverySchedulerOraclePasses) {
+  ASSERT_EQ(probe_corpus().size(), 19u);
+  std::vector<SchedulerSpec> specs = scheduler_registry();
+  specs.push_back(SchedulerSpec{
+      "random:seed=7", false,
+      []() { return std::make_unique<RandomizedScheduler>(7); }});
+  for (const SchedulerSpec& spec : specs) {
+    const auto failures = probe_failures(scheduler_oracle(spec));
+    EXPECT_TRUE(failures.empty())
+        << spec.key << ": " << ::testing::PrintToString(failures);
+  }
+}
+
+/// Starts every job at arrival, and starts it a second time when a burst
+/// leaves twenty jobs running: the engine must reject the double start.
+class DoubleStartOnBurst final : public OnlineScheduler {
+ public:
+  std::string name() const override { return "double-start-on-burst"; }
+  void on_arrival(SchedulerContext& ctx, JobId id) override {
+    ctx.start_job(id);
+    if (ctx.pending().empty() && ctx.running().size() >= 20) {
+      ctx.start_job(id);  // bug: double start under bursts
+    }
+  }
+  void on_deadline(SchedulerContext& ctx, JobId id) override {
+    ctx.start_job(id);
+  }
+};
+
+TEST(FuzzProbeCorpus, CatchesBoundaryConfusedScheduler) {
+  const Oracle oracle = scheduler_oracle(SchedulerSpec{
+      "double-start", false,
+      []() { return std::make_unique<DoubleStartOnBurst>(); }});
+  const auto failures = probe_failures(oracle);
+  ASSERT_EQ(failures.size(), 1u) << ::testing::PrintToString(failures);
+  EXPECT_EQ(failures[0].first, "burst-of-twenty");
 }
 
 /// Synthetic failure for shrinker tests: "some job is >= 3 units long, and

@@ -12,7 +12,7 @@ TEST(Umbrella, VersionExposed) {
 }
 
 TEST(Umbrella, EndToEndThroughPublicApi) {
-  // Generate -> schedule online -> measure -> compare offline -> report.
+  // Generate -> schedule online -> measure against OPT -> render.
   WorkloadConfig config;
   config.job_count = 25;
   config.integral = true;
@@ -23,12 +23,14 @@ TEST(Umbrella, EndToEndThroughPublicApi) {
   const SimulationResult run = simulate(inst, *scheduler, false);
   EXPECT_TRUE(run.schedule.is_valid(run.instance));
 
-  const RatioBracket bracket = measure_ratio(inst, "batch+",
-                                             OptMethod::kBracket);
-  EXPECT_GE(bracket.ratio_upper(), 1.0 - 1e-12);
-
-  const TimelineReport report = analyze_timeline(run.instance, run.schedule);
-  EXPECT_EQ(report.span, run.span());
+  const std::vector<SweepCase> cases = {
+      SweepCase{.label = "umbrella", .seed = 123, .instance = inst}};
+  const auto aggregates =
+      run_ratio_sweep(cases, {"batch+"}, SweepOptions{.serial = true});
+  ASSERT_EQ(aggregates.size(), 1u);
+  EXPECT_EQ(aggregates[0].spans.samples(),
+            std::vector<double>{run.span().to_units()});
+  EXPECT_GE(aggregates[0].ratio_upper.min(), 1.0 - 1e-12);
 
   const std::string chart = render_gantt(run.instance, run.schedule);
   EXPECT_FALSE(chart.empty());
