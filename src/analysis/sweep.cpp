@@ -34,6 +34,13 @@ std::vector<SchedulerAggregate> run_ratio_sweep(
     const std::vector<std::string>& scheduler_keys,
     const SweepOptions& options) {
   FJS_REQUIRE(!scheduler_keys.empty(), "sweep: no schedulers given");
+  // An empty case has span 0 and no ratio: it would add a span sample
+  // but no ratio sample to every aggregate.
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    FJS_REQUIRE(!cases[i].instance.empty(),
+                "sweep: case " + std::to_string(i) + " ('" + cases[i].label +
+                    "') has no jobs");
+  }
   // A serial sweep never resolves the pool, so it does not start the
   // global pool's threads.
   const auto for_each_case = [&](const auto& fn) {

@@ -41,7 +41,8 @@ struct SweepOptions {
 };
 
 /// Measures every scheduler on every case. OPT bounds are computed once
-/// per case and shared across schedulers.
+/// per case and shared across schedulers. Every case must have a job;
+/// an empty one throws AssertionError naming its index and label.
 std::vector<SchedulerAggregate> run_ratio_sweep(
     const std::vector<SweepCase>& cases,
     const std::vector<std::string>& scheduler_keys,

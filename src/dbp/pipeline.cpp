@@ -6,7 +6,7 @@
 
 namespace fjs {
 
-PipelineResult run_pipeline(const Instance& instance,
+PipelineResult run_pipeline(InstanceView instance,
                             const std::vector<double>& sizes,
                             const std::string& scheduler_key, Packer& packer,
                             double capacity) {

@@ -24,7 +24,7 @@ struct PipelineResult {
 };
 
 /// Runs scheduler (by registry key) then packer over the instance.
-PipelineResult run_pipeline(const Instance& instance,
+PipelineResult run_pipeline(InstanceView instance,
                             const std::vector<double>& sizes,
                             const std::string& scheduler_key, Packer& packer,
                             double capacity = 1.0);

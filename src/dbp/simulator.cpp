@@ -103,7 +103,7 @@ DbpResult pack_items(const std::vector<DbpItem>& items, Packer& packer,
   return result;
 }
 
-DbpResult run_packing(const Instance& instance, const Schedule& schedule,
+DbpResult run_packing(InstanceView instance, const Schedule& schedule,
                       const std::vector<double>& sizes, Packer& packer,
                       double capacity) {
   FJS_REQUIRE(sizes.size() == instance.size(),
@@ -119,7 +119,7 @@ DbpResult run_packing(const Instance& instance, const Schedule& schedule,
   return pack_items(items, packer, capacity);
 }
 
-Time dbp_usage_lower_bound(const Instance& instance,
+Time dbp_usage_lower_bound(InstanceView instance,
                            const std::vector<double>& sizes,
                            double capacity) {
   FJS_REQUIRE(sizes.size() == instance.size(),
@@ -127,7 +127,7 @@ Time dbp_usage_lower_bound(const Instance& instance,
   double volume_ticks = 0.0;
   for (JobId id = 0; id < instance.size(); ++id) {
     volume_ticks +=
-        sizes[id] * static_cast<double>(instance.job(id).length.ticks());
+        sizes[id] * static_cast<double>(instance.length(id).ticks());
   }
   const Time volume_bound =
       Time(static_cast<std::int64_t>(std::ceil(volume_ticks / capacity)));

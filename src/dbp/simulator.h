@@ -24,8 +24,9 @@ struct DbpResult {
 
 /// Packs every job's active interval. `sizes` is per-job demand in
 /// (0, capacity]. The packer's choice is validated (capacity is never
-/// exceeded at any time); violations throw AssertionError.
-DbpResult run_packing(const Instance& instance, const Schedule& schedule,
+/// exceeded at any time); violations throw AssertionError. Busy time on
+/// capacity-g machines is the unit-size case: sizes all 1.0, capacity g.
+DbpResult run_packing(InstanceView instance, const Schedule& schedule,
                       const std::vector<double>& sizes, Packer& packer,
                       double capacity = 1.0);
 
@@ -37,7 +38,7 @@ DbpResult pack_items(const std::vector<DbpItem>& items, Packer& packer,
 
 /// Certified lower bound on ANY packing of ANY valid schedule:
 /// max(span lower bound, total size×duration volume / capacity).
-Time dbp_usage_lower_bound(const Instance& instance,
+Time dbp_usage_lower_bound(InstanceView instance,
                            const std::vector<double>& sizes,
                            double capacity = 1.0);
 

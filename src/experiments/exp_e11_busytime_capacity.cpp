@@ -2,15 +2,18 @@
 //
 // The paper's concluding remarks connect Clairvoyant FJS to busy-time
 // scheduling (Koehler & Khuller): a machine runs at most g concurrent
-// jobs, and g = ∞ IS the span objective. Using the integer-capacity
-// busytime substrate, we sweep g and machine-assignment policy. Verdicts
-// pin the two boundary identities — at g=1 busy time equals total work,
-// at g=∞ it equals the schedule's span — and soundness of the busy-time
-// lower bound at every g.
+// jobs, and g = ∞ IS the span objective. Busy time on capacity-g machines
+// is MinUsageTime DBP with unit-size items and bin capacity g, so E11
+// runs on the same dbp/ packers as E8. Each scheduler is simulated once
+// (a schedule does not depend on g) and packed at every g; the g = ∞ row
+// packs at capacity n, the job count, which never refuses a job. We sweep
+// g and the packing policy. Verdicts pin the two boundary identities — at
+// g=1 busy time equals total work, at g=∞ it equals the schedule's span —
+// and soundness of the usage lower bound at every g.
 #include <string>
 #include <vector>
 
-#include "busytime/busytime.h"
+#include "dbp/simulator.h"
 #include "experiments/experiments_all.h"
 #include "schedulers/registry.h"
 #include "sim/engine.h"
@@ -40,6 +43,7 @@ class E11Experiment final : public Experiment {
     cfg.arrival_rate = 3.0;
     cfg.laxity_max = 6.0;
     const Instance raw = generate_workload(cfg, 33 + ctx.seed);
+    const std::vector<double> unit_sizes(raw.size(), 1.0);
 
     ctx.out() << "E11: busy-time on capacity-g machines (integer slots,"
                  " first-available assignment\nunless noted). Workload: "
@@ -47,42 +51,53 @@ class E11Experiment final : public Experiment {
               << " jobs, Poisson arrivals, uniform lengths 1-4, laxity"
                  " 0-6.\n\n";
 
+    struct ScheduledRun {
+      std::string key;
+      std::string name;
+      SimulationResult run;
+    };
+    std::vector<ScheduledRun> runs;
+    for (const char* key : {"eager", "lazy", "batch+", "profit"}) {
+      const auto scheduler = make_scheduler(key);
+      runs.push_back(ScheduledRun{
+          key, scheduler->name(),
+          simulate(raw, *scheduler, scheduler->requires_clairvoyance())});
+    }
+
+    // 0 stands for g = ∞: capacity n, one slot per job.
     Table table(
         {"g", "scheduler", "busy time", "machines", "peak", "busy vs LB"});
     const std::vector<std::size_t> capacities =
-        ctx.smoke
-            ? std::vector<std::size_t>{1, 4, 16, kUnboundedCapacity}
-            : std::vector<std::size_t>{1, 2, 4, 8, 16, kUnboundedCapacity};
+        ctx.smoke ? std::vector<std::size_t>{1, 4, 16, 0}
+                  : std::vector<std::size_t>{1, 2, 4, 8, 16, 0};
     for (const std::size_t g : capacities) {
-      const Time lb = busy_time_lower_bound(raw, g);
-      for (const char* key : {"eager", "lazy", "batch+", "profit"}) {
-        const auto scheduler = make_scheduler(key);
-        const SimulationResult run =
-            simulate(raw, *scheduler, scheduler->requires_clairvoyance());
-        const BusyTimeResult busy =
-            assign_machines(run.instance, run.schedule, g);
-        const std::string g_label =
-            g == kUnboundedCapacity ? "inf" : std::to_string(g);
-        table.add_row({g_label, scheduler->name(),
-                       format_double(busy.total_busy.to_units(), 1),
-                       std::to_string(busy.machines_used),
-                       std::to_string(busy.peak_active_machines),
-                       format_double(time_ratio(busy.total_busy, lb), 3) +
+      const double capacity = static_cast<double>(g == 0 ? raw.size() : g);
+      const std::string g_label = g == 0 ? "inf" : std::to_string(g);
+      const Time lb = dbp_usage_lower_bound(raw, unit_sizes, capacity);
+      for (const auto& [key, scheduler_name, run] : runs) {
+        FirstFitPacker packer;
+        const DbpResult busy = run_packing(run.instance, run.schedule,
+                                           unit_sizes, packer, capacity);
+        table.add_row({g_label, scheduler_name,
+                       format_double(busy.total_usage.to_units(), 1),
+                       std::to_string(busy.bins_opened),
+                       std::to_string(busy.peak_open_bins),
+                       format_double(time_ratio(busy.total_usage, lb), 3) +
                            "x"});
         result.verdicts.push_back(Verdict::at_least(
-            "busy >= LB g=" + g_label + " " + std::string(key),
-            time_ratio(busy.total_busy, lb), 1.0,
+            "busy >= LB g=" + g_label + " " + key,
+            time_ratio(busy.total_usage, lb), 1.0,
             "busy-time lower bound is sound", 1e-9));
         if (g == 1) {
           result.verdicts.push_back(Verdict::equals(
-              "g=1 busy == total work " + std::string(key),
-              time_ratio(busy.total_busy, raw.total_work()), 1.0, 1e-9,
+              "g=1 busy == total work " + key,
+              time_ratio(busy.total_usage, raw.total_work()), 1.0, 1e-9,
               "at unit capacity every job-hour is billed alone"));
         }
-        if (g == kUnboundedCapacity) {
+        if (g == 0) {
           result.verdicts.push_back(Verdict::equals(
-              "g=inf busy == span " + std::string(key),
-              time_ratio(busy.total_busy, run.span()), 1.0, 1e-9,
+              "g=inf busy == span " + key,
+              time_ratio(busy.total_usage, run.span()), 1.0, 1e-9,
               "with unbounded sharing busy time degenerates to the span"
               " objective"));
         }
@@ -91,19 +106,20 @@ class E11Experiment final : public Experiment {
     emit_table(ctx, result, "E11 busy-time vs machine capacity g", table,
                "e11_busytime");
 
-    // Policy ablation at g = 4 for the batch+ schedule (log only; the CSV
-    // matches the main sweep exactly as the standalone binary emitted it).
-    const auto bp = make_scheduler("batch+");
-    const SimulationResult run = simulate(raw, *bp, false);
+    // Packing-policy ablation at g = 4 for the batch+ schedule (log only).
+    const SimulationResult& batch_plus = runs[2].run;  // "batch+"
+    FirstFitPacker first_fit;
+    BestFitPacker best_fit;
+    WorstFitPacker worst_fit;
     Table policies({"policy", "busy time", "machines"});
-    for (const MachinePolicy policy :
-         {MachinePolicy::kFirstAvailable, MachinePolicy::kMostLoaded,
-          MachinePolicy::kLeastLoaded}) {
-      const BusyTimeResult busy =
-          assign_machines(run.instance, run.schedule, 4, policy);
-      policies.add_row({to_string(policy),
-                        format_double(busy.total_busy.to_units(), 1),
-                        std::to_string(busy.machines_used)});
+    for (Packer* packer :
+         std::vector<Packer*>{&first_fit, &best_fit, &worst_fit}) {
+      const DbpResult busy = run_packing(batch_plus.instance,
+                                         batch_plus.schedule, unit_sizes,
+                                         *packer, 4.0);
+      policies.add_row({packer->name(),
+                        format_double(busy.total_usage.to_units(), 1),
+                        std::to_string(busy.bins_opened)});
     }
     ctx.out() << "--- assignment-policy ablation (batch+ schedule, g=4) ---\n"
               << policies.render() << '\n';

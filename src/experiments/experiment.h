@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "support/table.h"
@@ -63,11 +62,6 @@ struct ExperimentResult {
   /// Files the experiment wrote itself into ExperimentContext::out_dir
   /// (e.g. E9's google-benchmark JSON), relative to that directory.
   std::vector<std::string> artifacts;
-  /// Named values that may change with --jobs or timing (e.g. hit counts
-  /// of per-worker caches). The runner writes them to the manifest next
-  /// to wall_ms, never to a CSV or verdicts.json, whose bytes must not
-  /// depend on --jobs.
-  std::vector<std::pair<std::string, double>> diagnostics;
 };
 
 /// Everything the runner hands an experiment for one execution.
@@ -78,8 +72,9 @@ struct ExperimentContext {
   /// seed) reproduces the legacy bench outputs byte for byte; see
   /// experiment_seed() in runner.h.
   std::uint64_t seed = 0;
-  /// Pool for intra-experiment parallelism. Never the pool the runner
-  /// schedules experiments on — nesting waits on one pool deadlocks.
+  /// Pool for intra-experiment parallelism: the one pool the runner also
+  /// schedules experiments on (TaskGroup's helping wait lets the two
+  /// levels nest).
   ThreadPool* pool = nullptr;
   /// Narrative sink (intro text, rendered tables, readings). Never
   /// null while run() executes; the runner replays it to the console

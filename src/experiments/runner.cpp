@@ -203,7 +203,6 @@ RunReport run_experiments(const std::vector<const Experiment*>& selection,
             record.artifacts.push_back(record.name + "/" + artifact);
           }
           record.verdicts = result.verdicts;
-          record.diagnostics = result.diagnostics;
         } catch (const std::exception& e) {
           record.error = e.what();
         }
@@ -319,11 +318,6 @@ JsonValue manifest_json(const RunReport& report) {
     entry.set("paper_ref", JsonValue::string(record.paper_ref));
     entry.set("seed", JsonValue::unsigned_integer(record.seed));
     entry.set("wall_ms", JsonValue::number(record.wall_ms));
-    JsonValue diagnostics = JsonValue::object();
-    for (const auto& [key, value] : record.diagnostics) {
-      diagnostics.set(key, JsonValue::number(value));
-    }
-    entry.set("diagnostics", diagnostics);
     entry.set("csv_files", string_array(record.csv_files));
     entry.set("artifacts", string_array(record.artifacts));
     entry.set("verdicts", JsonValue::unsigned_integer(record.verdicts.size()));

@@ -33,7 +33,8 @@ namespace fjs::experiments {
 
 struct RunnerOptions {
   bool smoke = false;
-  /// Worker threads for BOTH pools; 0 = hardware concurrency.
+  /// Worker threads of the one pool that runs the experiments and their
+  /// inner parallel_for; 0 = hardware concurrency.
   std::size_t jobs = 0;
   /// Base seed. 0 (default) reproduces the legacy bench outputs byte
   /// for byte; any other value derives a per-experiment offset via
@@ -66,8 +67,6 @@ struct ExperimentRecord {
   std::vector<Verdict> verdicts;
   std::vector<std::string> csv_files;  ///< relative to the run directory
   std::vector<std::string> artifacts;  ///< relative to the run directory
-  /// ExperimentResult::diagnostics; manifest only.
-  std::vector<std::pair<std::string, double>> diagnostics;
   std::string error;                   ///< exception text; empty = ran clean
 
   bool passed() const;

@@ -21,7 +21,6 @@
 #include "core/schedule.h"
 #include "core/span_tracker.h"
 #include "core/time.h"
-#include "busytime/busytime.h"
 #include "dbp/packing.h"
 #include "dbp/pipeline.h"
 #include "dbp/simulator.h"

@@ -163,8 +163,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
         }
       };
       try {
-        ShrinkResult shrunk = shrink_instance(fuzz_case.original, still_fails,
-                                              options.shrink_options);
+        ShrinkResult shrunk = shrink_instance(fuzz_case.original, still_fails);
         fuzz_case.shrunk = shrunk.instance;
         fuzz_case.shrink_stats = std::move(shrunk);
       } catch (const AssertionError&) {

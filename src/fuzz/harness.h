@@ -32,7 +32,6 @@ struct FuzzOptions {
   /// several oracles reject it — the first failure is the one reported).
   std::size_t max_failures = 8;
   bool shrink = true;
-  ShrinkOptions shrink_options;
   /// When non-empty, one repro file per failure is written here as
   /// fuzz-<seed>.repro. The directory must already exist.
   std::string repro_dir;

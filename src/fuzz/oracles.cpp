@@ -26,6 +26,16 @@ namespace {
 
 constexpr std::int64_t kUnit = Time::kTicksPerUnit;
 
+// Size and effort caps of the offline oracles.
+constexpr std::size_t kExactMaxJobs = 9;
+constexpr std::size_t kExactMaxNodes = 400'000;
+constexpr std::size_t kReferenceMaxJobs = 7;
+constexpr std::size_t kReferenceMaxNodes = 4'000'000;
+/// Offline oracles skip instances whose latest completion exceeds this
+/// many units — near-overflow magnitudes are for the engine/trace
+/// oracles, not for alignment arithmetic.
+constexpr std::int64_t kOfflineHorizonCapUnits = 1'000'000;
+
 /// From-scratch span recomputation: fresh IntervalSet over the realized
 /// schedule, no SpanTracker involved.
 Time recomputed_span(const Instance& instance, const Schedule& schedule) {
@@ -161,12 +171,11 @@ Oracle scheduler_oracle(const SchedulerSpec& spec) {
 
 namespace {
 
-bool offline_in_scope(const Instance& instance, const OracleOptions& options,
-                      std::size_t max_jobs) {
+bool offline_in_scope(const Instance& instance, std::size_t max_jobs) {
   if (instance.empty() || instance.size() > max_jobs) {
     return false;
   }
-  const Time cap = Time(options.offline_horizon_cap_units * kUnit);
+  const Time cap = Time(kOfflineHorizonCapUnits * kUnit);
   return instance.earliest_arrival() >= Time::zero() &&
          instance.latest_completion() <= cap;
 }
@@ -212,11 +221,11 @@ std::optional<std::string> additive_failure(const Instance& instance,
   return std::nullopt;
 }
 
-Oracle offline_sandwich_oracle(const OracleOptions& options) {
+Oracle offline_sandwich_oracle() {
   return Oracle{
       "offline-sandwich",
-      [options](const Instance& instance) -> std::optional<std::string> {
-        if (!offline_in_scope(instance, options, options.exact_max_jobs)) {
+      [](const Instance& instance) -> std::optional<std::string> {
+        if (!offline_in_scope(instance, kExactMaxJobs)) {
           return std::nullopt;
         }
         const Time lb = best_lower_bound(instance);
@@ -234,7 +243,7 @@ Oracle offline_sandwich_oracle(const OracleOptions& options) {
         }
 
         ExactOptions exact_options;
-        exact_options.max_nodes = options.exact_max_nodes;
+        exact_options.max_nodes = kExactMaxNodes;
         const ExactResult exact = exact_optimal(instance, exact_options);
         if (!exact.schedule.is_valid(instance)) {
           return std::string("exact solver produced an invalid schedule");
@@ -353,17 +362,16 @@ Oracle ratio_bounds_oracle() {
       }};
 }
 
-Oracle exact_vs_reference_oracle(const OracleOptions& options) {
+Oracle exact_vs_reference_oracle() {
   return Oracle{
       "exact-vs-reference",
-      [options](const Instance& instance) -> std::optional<std::string> {
-        if (!offline_in_scope(instance, options,
-                              options.reference_max_jobs) ||
+      [](const Instance& instance) -> std::optional<std::string> {
+        if (!offline_in_scope(instance, kReferenceMaxJobs) ||
             !instance.is_multiple_of(Time(kUnit))) {
           return std::nullopt;
         }
         ExactOptions exact_options;
-        exact_options.max_nodes = options.reference_max_nodes;
+        exact_options.max_nodes = kReferenceMaxNodes;
         // Force the general critical-start search so the two solvers share
         // no branching strategy.
         exact_options.use_integral_fast_path = false;
@@ -571,15 +579,13 @@ Oracle view_vs_owned_oracle() {
 
 std::vector<Oracle> standard_oracles(const OracleOptions& options) {
   std::vector<Oracle> oracles;
-  if (options.run_schedulers) {
-    for (const auto& spec : scheduler_registry()) {
-      oracles.push_back(scheduler_oracle(spec));
-    }
+  for (const auto& spec : scheduler_registry()) {
+    oracles.push_back(scheduler_oracle(spec));
   }
   if (options.run_offline) {
     oracles.push_back(ratio_bounds_oracle());
-    oracles.push_back(offline_sandwich_oracle(options));
-    oracles.push_back(exact_vs_reference_oracle(options));
+    oracles.push_back(offline_sandwich_oracle());
+    oracles.push_back(exact_vs_reference_oracle());
   }
   // Always on — no gate, no size cap, no horizon cap: every other oracle
   // reads the instance through this substrate.

@@ -42,21 +42,12 @@
 
 namespace fjs {
 
-/// Size/effort caps for the expensive oracles. The scheduler oracles run
-/// on every instance; the offline oracles only where the solvers are
-/// tractable and tick magnitudes are far from the overflow boundary.
+/// The scheduler oracles run on every instance; the offline oracles
+/// (unless switched off here) only where the solvers are tractable and
+/// tick magnitudes are far from the overflow boundary (the size, node and
+/// horizon caps are constants in oracles.cpp).
 struct OracleOptions {
-  bool run_schedulers = true;
   bool run_offline = true;
-
-  std::size_t exact_max_jobs = 9;
-  std::size_t exact_max_nodes = 400'000;
-  std::size_t reference_max_jobs = 7;
-  std::size_t reference_max_nodes = 4'000'000;
-  /// Offline oracles skip instances whose latest completion exceeds this
-  /// many units — near-overflow magnitudes are for the engine/trace
-  /// oracles, not for alignment arithmetic.
-  std::int64_t offline_horizon_cap_units = 1'000'000;
 };
 
 /// A named correctness claim. `check` returns nullopt when the instance

@@ -11,6 +11,9 @@ namespace {
 
 constexpr std::int64_t kUnit = Time::kTicksPerUnit;
 constexpr std::int64_t kMaxTicks = std::numeric_limits<std::int64_t>::max();
+// The shrink budget: full rounds, and predicate calls across all rounds.
+constexpr std::size_t kMaxRounds = 64;
+constexpr std::size_t kMaxPredicateCalls = 50'000;
 
 struct RawJob {
   std::int64_t arrival;
@@ -84,14 +87,13 @@ std::int64_t floor_to_unit(std::int64_t ticks) {
 }  // namespace
 
 ShrinkResult shrink_instance(const Instance& failing,
-                             const FailurePredicate& still_fails,
-                             ShrinkOptions options) {
+                             const FailurePredicate& still_fails) {
   ShrinkResult result;
   std::vector<RawJob> current = to_raw(failing);
   FJS_REQUIRE(raw_valid(current), "shrink: seed instance is not shrinkable");
 
   auto budget_left = [&]() {
-    return result.predicate_calls < options.max_predicate_calls;
+    return result.predicate_calls < kMaxPredicateCalls;
   };
   // Tries a candidate; on success adopts it into `current`.
   auto attempt = [&](std::vector<RawJob> candidate) -> bool {
@@ -112,7 +114,7 @@ ShrinkResult shrink_instance(const Instance& failing,
   ++result.predicate_calls;
 
   bool changed = true;
-  while (changed && result.rounds < options.max_rounds && budget_left()) {
+  while (changed && result.rounds < kMaxRounds && budget_left()) {
     changed = false;
     ++result.rounds;
 

@@ -25,11 +25,6 @@ namespace fjs {
 /// Must be deterministic and side-effect free.
 using FailurePredicate = std::function<bool(const Instance&)>;
 
-struct ShrinkOptions {
-  std::size_t max_rounds = 64;
-  std::size_t max_predicate_calls = 50'000;
-};
-
 struct ShrinkResult {
   Instance instance;
   std::size_t rounds = 0;
@@ -42,7 +37,6 @@ struct ShrinkResult {
 /// Requires still_fails(failing) to be true; throws AssertionError
 /// otherwise (an unreproducible failure must not be silently "minimized").
 ShrinkResult shrink_instance(const Instance& failing,
-                             const FailurePredicate& still_fails,
-                             ShrinkOptions options = {});
+                             const FailurePredicate& still_fails);
 
 }  // namespace fjs

@@ -185,5 +185,21 @@ TEST(Sweep, RejectsEmptySchedulerList) {
   EXPECT_THROW(run_ratio_sweep({}, {}), AssertionError);
 }
 
+TEST(Sweep, RejectsEmptyCaseNamingIt) {
+  // An empty case would add a span sample but no ratio sample.
+  WorkloadConfig cfg;
+  cfg.job_count = 5;
+  std::vector<SweepCase> cases = make_cases(cfg, "full", 1, 7);
+  cases.push_back(SweepCase{.label = "hollow", .seed = 8, .instance = {}});
+  try {
+    run_ratio_sweep(cases, {"eager"}, SweepOptions{.serial = true});
+    FAIL() << "an empty case was accepted";
+  } catch (const AssertionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("case 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("hollow"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace fjs

@@ -5,6 +5,8 @@
 #include "dbp/pipeline.h"
 #include "dbp/simulator.h"
 #include "helpers.h"
+#include "schedulers/registry.h"
+#include "sim/engine.h"
 #include "support/assert.h"
 #include "support/rng.h"
 #include "workload/cloud_trace.h"
@@ -307,6 +309,118 @@ TEST(WorstFit, OpensNewBinWhenNothingFits) {
   WorstFitPacker wf;
   const DbpResult result = run_packing(inst, sched, {0.9, 0.9, 0.9}, wf);
   EXPECT_EQ(result.bins_opened, 3u);
+}
+
+// Busy time on capacity-g machines (Koehler–Khuller) is MinUsageTime DBP
+// with unit-size items and bin capacity g.
+
+/// Busy time of `sched` on capacity-g machines, packed by `packer`.
+DbpResult busy_time(const Instance& inst, const Schedule& sched, double g,
+                    Packer& packer) {
+  return run_packing(inst, sched, std::vector<double>(inst.size(), 1.0),
+                     packer, g);
+}
+
+TEST(BusyTime, CapacityNEqualsSpanOnOneBin) {
+  // g = n, the job count: one machine takes every job, for every packer.
+  const Instance inst = make_instance({{0, 0, 2}, {1, 1, 2}, {5, 5, 1}});
+  const Schedule sched =
+      Schedule::from_starts({units(0.0), units(1.0), units(5.0)});
+  FirstFitPacker ff;
+  BestFitPacker bf;
+  WorstFitPacker wf;
+  for (Packer* packer : std::vector<Packer*>{&ff, &bf, &wf}) {
+    const DbpResult result = busy_time(inst, sched, 3.0, *packer);
+    EXPECT_EQ(result.bins_opened, 1u) << packer->name();
+    EXPECT_EQ(result.total_usage, sched.span(inst)) << packer->name();
+  }
+}
+
+TEST(BusyTime, CapacityOneBusyEqualsTotalWork) {
+  const Instance inst = make_instance({{0, 0, 2}, {0, 0, 3}, {0, 0, 1}});
+  const Schedule sched = Schedule::from_starts(
+      {units(0.0), units(0.0), units(0.0)});
+  FirstFitPacker ff;
+  const DbpResult result = busy_time(inst, sched, 1.0, ff);
+  EXPECT_EQ(result.total_usage, inst.total_work());
+  EXPECT_EQ(result.bins_opened, 3u);
+}
+
+TEST(BusyTime, CapacityTwoPacksPairs) {
+  const Instance inst = make_instance(
+      {{0, 0, 2}, {0, 0, 2}, {0, 0, 2}, {0, 0, 2}});
+  const Schedule sched = Schedule::from_starts(
+      {units(0.0), units(0.0), units(0.0), units(0.0)});
+  FirstFitPacker ff;
+  const DbpResult result = busy_time(inst, sched, 2.0, ff);
+  EXPECT_EQ(result.bins_opened, 2u);
+  EXPECT_EQ(result.total_usage, units(4.0));
+  EXPECT_EQ(result.peak_open_bins, 2u);
+}
+
+TEST(BusyTime, AccountingMatchesIntervalSetReference) {
+  WorkloadConfig cfg;
+  cfg.job_count = 120;
+  cfg.laxity_max = 4.0;
+  const Instance raw = generate_workload(cfg, 17);
+  const auto scheduler = make_scheduler("batch+");
+  const SimulationResult run = simulate(raw, *scheduler, false);
+  const std::vector<double> sizes(run.instance.size(), 1.0);
+  for (const double g : {1.0, 3.0, 7.0}) {
+    FirstFitPacker ff;
+    const DbpResult result = busy_time(run.instance, run.schedule, g, ff);
+    EXPECT_EQ(result.total_usage,
+              reference_usage(run.instance, run.schedule, result))
+        << "g=" << g;
+    EXPECT_GE(result.total_usage,
+              dbp_usage_lower_bound(run.instance, sizes, g));
+  }
+}
+
+TEST(BusyTime, CapacityNeverExceeded) {
+  WorkloadConfig cfg;
+  cfg.job_count = 80;
+  const Instance raw = generate_workload(cfg, 3);
+  const auto scheduler = make_scheduler("eager");
+  const SimulationResult run = simulate(raw, *scheduler, false);
+  FirstFitPacker ff;
+  const DbpResult result = busy_time(run.instance, run.schedule, 2.0, ff);
+  check_capacity(run.instance, run.schedule,
+                 std::vector<double>(run.instance.size(), 1.0), result, 2.0);
+}
+
+TEST(BusyTime, LowerBoundCases) {
+  const Instance inst = make_instance({{0, 0, 3}, {0, 0, 1}, {0, 0, 2}});
+  const std::vector<double> ones(3, 1.0);
+  // g=1: work bound 6 dominates the span bound 3.
+  EXPECT_EQ(dbp_usage_lower_bound(inst, ones, 1.0), units(6.0));
+  // g=2: work bound 3 == span bound 3.
+  EXPECT_EQ(dbp_usage_lower_bound(inst, ones, 2.0), units(3.0));
+  // g=n: the work bound 2 never exceeds the longest job, so the span
+  // bound alone remains.
+  EXPECT_EQ(dbp_usage_lower_bound(inst, ones, 3.0), units(3.0));
+  const Instance empty;
+  EXPECT_EQ(dbp_usage_lower_bound(empty, {}, 1.0), Time::zero());
+}
+
+TEST(BusyTime, UnitItemsAtCapacityGMatchFractionalItems) {
+  // Unit items in capacity-g bins pack exactly as 1/g items in unit bins.
+  WorkloadConfig cfg;
+  cfg.job_count = 150;
+  cfg.laxity_max = 5.0;
+  const Instance raw = generate_workload(cfg, 29);
+  const auto scheduler = make_scheduler("batch+");
+  const SimulationResult run = simulate(raw, *scheduler, false);
+  for (const double g : {2.0, 4.0, 8.0}) {
+    FirstFitPacker ff;
+    const DbpResult integral = busy_time(run.instance, run.schedule, g, ff);
+    const std::vector<double> sizes(run.instance.size(), 1.0 / g);
+    const DbpResult fractional =
+        run_packing(run.instance, run.schedule, sizes, ff);
+    EXPECT_EQ(integral.total_usage, fractional.total_usage) << "g=" << g;
+    EXPECT_EQ(integral.bins_opened, fractional.bins_opened) << "g=" << g;
+    EXPECT_EQ(integral.assignment, fractional.assignment) << "g=" << g;
+  }
 }
 
 }  // namespace

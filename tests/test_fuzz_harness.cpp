@@ -344,9 +344,9 @@ TEST(FuzzShrink, ConvergesToMinimalInstanceDeterministically) {
   }
 
   const ShrinkResult first =
-      shrink_instance(seed_instance, synthetic_failure, {});
+      shrink_instance(seed_instance, synthetic_failure);
   const ShrinkResult second =
-      shrink_instance(seed_instance, synthetic_failure, {});
+      shrink_instance(seed_instance, synthetic_failure);
   EXPECT_TRUE(same_jobs(first.instance, second.instance));
   EXPECT_EQ(first.predicate_calls, second.predicate_calls);
 
@@ -373,7 +373,7 @@ TEST(FuzzShrink, ConvergesToMinimalInstanceDeterministically) {
 TEST(FuzzShrink, RejectsNonFailingSeed) {
   const Instance inst = make_instance({{0, 0, 1}});
   EXPECT_THROW(
-      shrink_instance(inst, [](const Instance&) { return false; }, {}),
+      shrink_instance(inst, [](const Instance&) { return false; }),
       AssertionError);
 }
 
